@@ -132,6 +132,13 @@ class AsymmetricL1:
             # counted by the slow cache's stats).
             del slow_victim
 
+    def fill_range(self, base: int, size_bytes: int) -> None:
+        """Read every line of ``[base, base + size_bytes)`` in ascending
+        order.  Promotion and demotion between the partitions have no
+        closed form, so this replays each line through :meth:`access`."""
+        for addr in range(base, base + size_bytes, self.line_bytes):
+            self.access(addr)
+
     def probe(self, addr: int) -> bool:
         """Residency in either partition, without side effects."""
         return self.fast.probe(addr) or self.slow.probe(addr)

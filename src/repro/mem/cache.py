@@ -155,6 +155,62 @@ class Cache:
         if is_write:
             self._dirty[set_idx].add(tag)
 
+    def fill_range(self, base: int, size_bytes: int) -> None:
+        """Read every line of ``[base, base + size_bytes)`` in ascending
+        order, leaving exactly the state and statistics that calling
+        :meth:`access` once per line would, but visiting each set once.
+
+        Sets are independent under LRU, so only the order within a set
+        matters.  A set's lines in the range are ``n_sets`` apart, so
+        their ``k`` tags are consecutive and all miss unless one is
+        already resident: the set ends as the newest ``min(k, assoc)``
+        tags (MRU first) followed by the surviving prefix of its old
+        list, and every old line pushed out counts as an eviction (plus
+        a writeback if dirty).  A set whose old tags may meet the range
+        replays its lines through :meth:`access` instead.
+        """
+        if size_bytes <= 0:
+            return
+        n = -(-size_bytes // self.line_bytes)
+        first = base >> self._line_shift
+        n_sets = self.n_sets
+        assoc = self.assoc
+        set_mask = self._set_mask
+        tag_shift = self._tag_shift
+        all_tags = self._tags
+        all_dirty = self._dirty
+        stats = self.stats
+        filled = n
+        evictions = writebacks = 0
+        for j in range(min(n, n_sets)):
+            line = first + j
+            set_idx = line & set_mask
+            t0 = line >> tag_shift
+            k = (n - 1 - j) // n_sets + 1
+            tags = all_tags[set_idx]
+            if tags and min(tags) < t0 + k and max(tags) >= t0:
+                filled -= k
+                for tag in range(t0, t0 + k):
+                    self.access(((tag << tag_shift) | set_idx) << self._line_shift)
+                continue
+            m = k if k < assoc else assoc
+            keep = assoc - m
+            if len(tags) > keep:
+                evictions += len(tags) - keep
+                dirty = all_dirty[set_idx]
+                if dirty:
+                    for victim in tags[keep:]:
+                        if victim in dirty:
+                            dirty.discard(victim)
+                            writebacks += 1
+                del tags[keep:]
+            evictions += k - m
+            tags[:0] = range(t0 + k - 1, t0 + k - 1 - m, -1)
+        stats.accesses += filled
+        stats.misses += filled
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+
     def extract(self, addr: int) -> tuple[bool, bool]:
         """Remove ``addr``'s line if present.  Returns (was_present, dirty).
 

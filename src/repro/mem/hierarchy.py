@@ -139,17 +139,15 @@ class MemoryHierarchy:
         real applications run billions of instructions, so their resident
         regions are cache-warm long before any measured window.  Fills L3
         and L2 (capacity permitting) and optionally the DL1 for every line
-        of ``[base, base + size_bytes)``.
+        of ``[base, base + size_bytes)``.  The caches are independent
+        here (plain reads, no prefetch), so each fills the whole range in
+        one :meth:`~repro.mem.cache.Cache.fill_range` call.
         """
-        if size_bytes <= 0:
-            return
-        line = 64
-        for addr in range(base, base + size_bytes, line):
-            self.l3.access(addr)
-            if size_bytes <= self.l2.size_bytes:
-                self.l2.access(addr)
-            if into_l1:
-                self.dl1.access(addr)
+        self.l3.fill_range(base, size_bytes)
+        if size_bytes <= self.l2.size_bytes:
+            self.l2.fill_range(base, size_bytes)
+        if into_l1:
+            self.dl1.fill_range(base, size_bytes)
 
     def reset_stats(self) -> None:
         """Zero all counters (cache contents are preserved for warm state)."""
