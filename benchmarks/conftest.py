@@ -1,12 +1,12 @@
-"""Benchmark harness plumbing.
+"""Paper shape tests: shared fixtures.
 
-One benchmark per paper exhibit.  The expensive work -- the configuration x
-workload sweeps -- is cached in a session-scoped :class:`SweepRunner`, so
-the first benchmark iteration pays for the simulations and later rounds
-measure the (cached) figure aggregation.  Every benchmark also writes the
-regenerated table plus the paper-vs-measured comparison to
-``benchmarks/results/<exhibit>.txt`` so a ``--benchmark-only`` run leaves
-the reproduced evaluation on disk.
+One test per paper exhibit, each asserting the paper's shape claims (who
+wins, in which direction, by roughly what factor).  The expensive work --
+the configuration x workload sweeps -- is cached in a session-scoped
+:class:`SweepRunner`, so exhibits that share cells simulate them once.
+Every test also writes the regenerated table plus the paper-vs-measured
+comparison to ``benchmarks/results/<exhibit>.txt``, so a run leaves the
+reproduced evaluation on disk.  Run with ``pytest benchmarks``.
 
 Sweep sizing follows the ``REPRO_INSTRUCTIONS`` / ``REPRO_APPS`` /
 ``REPRO_KERNELS`` environment variables (defaults: 40k instructions, all

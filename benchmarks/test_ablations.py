@@ -1,13 +1,9 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation tests for the design choices DESIGN.md calls out.
 
 Each ablation sweeps one AdvHet design parameter and checks the paper's
 rationale holds: the asymmetric cache's single fast way, the one-CMOS-ALU
 cluster, the 6-entry register-file cache, and the steering window.
 """
-
-import dataclasses
-
-import pytest
 
 from repro.core.hetcore import CpuDesign
 from repro.core.simulate import simulate_cpu
@@ -34,7 +30,7 @@ def _advhet_time(app: str, **overrides) -> float:
     ).time_s
 
 
-def test_asym_fast_way_capacity(benchmark, record=None):
+def test_asym_fast_way_capacity():
     """More fast ways raise the fast-hit rate with diminishing returns."""
     trace = generate_trace(cpu_app("barnes"), 30_000, seed=0)
     import numpy as np
@@ -43,67 +39,50 @@ def test_asym_fast_way_capacity(benchmark, record=None):
     mem = np.isin(trace.op, [int(UopType.LOAD), int(UopType.STORE)])
     addrs = trace.addr[mem].tolist()
 
-    def sweep():
-        rates = {}
-        for assoc in (2, 4, 8, 16):
-            cache = AsymmetricL1(total_size_bytes=32 * 1024, assoc=assoc)
-            for addr in addrs:
-                cache.access(addr)
-            rates[assoc] = cache.stats.fast_hit_rate
-        return rates
-
-    rates = benchmark(sweep)
+    rates = {}
+    for assoc in (2, 4, 8, 16):
+        cache = AsymmetricL1(total_size_bytes=32 * 1024, assoc=assoc)
+        for addr in addrs:
+            cache.access(addr)
+        rates[assoc] = cache.stats.fast_hit_rate
     # Bigger fast way (lower assoc -> bigger way size) catches more hits...
     assert rates[2] > rates[8]
     # ...but the paper's 8-way/4KB point already captures most of it.
     assert rates[8] > 0.6 * rates[2]
 
 
-def test_dual_speed_alu_count(benchmark):
+def test_dual_speed_alu_count():
     """One CMOS ALU captures most of the benefit of four (the paper's
     choice maximises TFET coverage)."""
-
-    def sweep():
-        times = {}
-        for fast in (0, 1, 4):
-            if fast == 0:
-                t = _advhet_time("barnes", dual_speed_alu=False)
-            elif fast == 4:
-                t = _advhet_time("barnes", alu=DeviceKind.CMOS,
-                                 muldiv=DeviceKind.CMOS, dual_speed_alu=False)
-            else:
-                t = _advhet_time("barnes")
-            times[fast] = t
-        return times
-
-    times = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    times = {
+        0: _advhet_time("barnes", dual_speed_alu=False),
+        1: _advhet_time("barnes"),
+        4: _advhet_time("barnes", alu=DeviceKind.CMOS,
+                        muldiv=DeviceKind.CMOS, dual_speed_alu=False),
+    }
     assert times[1] < times[0]  # steering helps over all-TFET ALUs
     gain_first = times[0] - times[1]
     gain_rest = times[1] - times[4]
     assert gain_first > gain_rest  # diminishing returns after one CMOS ALU
 
 
-def test_rf_cache_entry_count(benchmark):
+def test_rf_cache_entry_count():
     """Six entries per thread sit at the knee of the hit-rate curve."""
     trace = generate_kernel(gpu_kernel("BlackScholes"))
 
-    def sweep():
-        rates = {}
-        for entries in (2, 6, 16):
-            cfg = CUConfig(
-                fma_depth=6, rf_cycles=2,
-                rf_cache_enabled=True, rf_cache_entries=entries,
-            )
-            rates[entries] = ComputeUnit(cfg).run(trace).rf_cache_hit_rate
-        return rates
-
-    rates = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rates = {}
+    for entries in (2, 6, 16):
+        cfg = CUConfig(
+            fma_depth=6, rf_cycles=2,
+            rf_cache_enabled=True, rf_cache_entries=entries,
+        )
+        rates[entries] = ComputeUnit(cfg).run(trace).rf_cache_hit_rate
     assert rates[2] < rates[6] <= rates[16]
     # The knee: 6 entries capture most of what 16 would.
     assert rates[6] > 0.75 * rates[16]
 
 
-def test_prefetcher_contribution(benchmark):
+def test_prefetcher_contribution():
     """The next-line prefetcher matters for streaming apps (DESIGN.md's
     substitution note: real hierarchies have one)."""
     from repro.cpu.core import CoreConfig, OutOfOrderCore
@@ -120,14 +99,11 @@ def test_prefetcher_contribution(benchmark):
         )
         return core.run(trace, warmup=WARMUP).cycles
 
-    def sweep():
-        return {0: run(0), 2: run(2)}
-
-    cycles = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    cycles = {0: run(0), 2: run(2)}
     assert cycles[2] < cycles[0]
 
 
-def test_gpu_compiler_pass_extension(benchmark):
+def test_gpu_compiler_pass_extension():
     """Future-work extension: compiler rescheduling recovers part of the
     residual AdvHet GPU loss (Section IV-C4)."""
     from repro.gpu import reschedule_kernel
@@ -135,56 +111,44 @@ def test_gpu_compiler_pass_extension(benchmark):
     trace = generate_kernel(gpu_kernel("BlackScholes"))
     cfg = CUConfig(fma_depth=6, rf_cycles=2, rf_cache_enabled=True)
 
-    def sweep():
-        before = ComputeUnit(cfg).run(trace).cycles
-        after = ComputeUnit(cfg).run(reschedule_kernel(trace, target_gap=6)).cycles
-        return before, after
-
-    before, after = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    before = ComputeUnit(cfg).run(trace).cycles
+    after = ComputeUnit(cfg).run(reschedule_kernel(trace, target_gap=6)).cycles
     assert after < before
 
 
-def test_partitioned_rf_alternative(benchmark):
+def test_partitioned_rf_alternative():
     """Related-work alternative (Section VIII): a Pilot-RF style static
     partition lands between the plain TFET RF and the RF cache."""
     from repro.gpu import profile_hot_registers
 
     trace = generate_kernel(gpu_kernel("BlackScholes"))
 
-    def sweep():
-        plain = ComputeUnit(CUConfig(fma_depth=6, rf_cycles=2)).run(trace).cycles
-        cache = ComputeUnit(
-            CUConfig(fma_depth=6, rf_cycles=2, rf_cache_enabled=True)
-        ).run(trace).cycles
-        part = ComputeUnit(
-            CUConfig(
-                fma_depth=6, rf_cycles=2,
-                partitioned_fast_regs=profile_hot_registers(trace, 8),
-            )
-        ).run(trace).cycles
-        return plain, cache, part
-
-    plain, cache, part = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    plain = ComputeUnit(CUConfig(fma_depth=6, rf_cycles=2)).run(trace).cycles
+    cache = ComputeUnit(
+        CUConfig(fma_depth=6, rf_cycles=2, rf_cache_enabled=True)
+    ).run(trace).cycles
+    part = ComputeUnit(
+        CUConfig(
+            fma_depth=6, rf_cycles=2,
+            partitioned_fast_regs=profile_hot_registers(trace, 8),
+        )
+    ).run(trace).cycles
     assert cache < plain
     assert part < plain
 
 
-def test_steering_window_sweep(benchmark):
+def test_steering_window_sweep():
     """The consumer-distance cap trades CMOS-ALU traffic for speed."""
     from repro.cpu.steering import DualSpeedSteering
 
     trace = generate_trace(cpu_app("barnes"), 20_000, seed=0)
 
-    def sweep():
-        rates = {}
-        for cap in (1, 2, 4):
-            s = DualSpeedSteering(trace, window=4, max_consumer_distance=cap)
-            for i in range(len(trace)):
-                s.prefer_fast(i)
-            rates[cap] = s.preference_rate
-        return rates
-
-    rates = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rates = {}
+    for cap in (1, 2, 4):
+        s = DualSpeedSteering(trace, window=4, max_consumer_distance=cap)
+        for i in range(len(trace)):
+            s.prefer_fast(i)
+        rates[cap] = s.preference_rate
     assert rates[1] < rates[2] < rates[4]
     # Even the widest window keeps the majority of ops on TFET ALUs.
     assert rates[4] < 0.7

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 10 (GPU execution time).
+"""Shape test: regenerate Figure 10 (GPU execution time).
 
 Shape targets (paper): BaseTFET 2x slower, BaseHet ~1.28x, AdvHet ~1.20x,
 AdvHet-2X ~0.70x.
@@ -7,10 +7,8 @@ AdvHet-2X ~0.70x.
 from repro.experiments.figures import figure10
 
 
-def test_figure10(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure10, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure10(runner, record):
+    result = figure10(runner)
     record(result)
     m = result.measured_means
     assert 1.9 < m["BaseTFET"] < 2.1

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 11 (GPU energy).
+"""Shape test: regenerate Figure 11 (GPU energy).
 
 Shape targets (paper): BaseTFET -75%, BaseHet -35%, AdvHet -40%,
 AdvHet-2X -34%.
@@ -7,10 +7,8 @@ AdvHet-2X -34%.
 from repro.experiments.figures import figure11
 
 
-def test_figure11(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure11, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure11(runner, record):
+    result = figure11(runner)
     record(result)
     m = result.measured_means
     assert 0.18 < m["BaseTFET"] < 0.33

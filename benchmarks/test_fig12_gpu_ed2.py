@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 12 (GPU ED^2).
+"""Shape test: regenerate Figure 12 (GPU ED^2).
 
 Shape targets (paper): BaseHet worse than BaseCMOS, AdvHet slightly
 better, AdvHet-2X ~60% lower.
@@ -7,10 +7,8 @@ better, AdvHet-2X ~60% lower.
 from repro.experiments.figures import figure12
 
 
-def test_figure12(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure12, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure12(runner, record):
+    result = figure12(runner)
     record(result)
     m = result.measured_means
     assert m["BaseHet"] > 1.0

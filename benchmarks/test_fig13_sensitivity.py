@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 13 (sensitivity analysis).
+"""Shape test: regenerate Figure 13 (sensitivity analysis).
 
 Shape targets (paper Section VII-C): BaseL3 saves ~10% energy at similar
 speed; BaseHighVt does not beat BaseCMOS; BaseHet is slightly slower but
@@ -9,10 +9,8 @@ AdvHet's largest single speedup.
 from repro.experiments.figures import figure13
 
 
-def test_figure13(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure13, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure13(runner, record):
+    result = figure13(runner)
     record(result)
     rows = result.rows
     # BaseL3: ~BaseCMOS speed, lower energy.

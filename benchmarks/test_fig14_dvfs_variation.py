@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 14 (DVFS and process variation).
+"""Shape test: regenerate Figure 14 (DVFS and process variation).
 
 Shape targets (paper): AdvHet saves ~39% at 2 GHz, relatively less when
 boosted to 2.5 GHz, more at 1.5 GHz, and slightly less under guardbands.
@@ -7,10 +7,8 @@ boosted to 2.5 GHz, more at 1.5 GHz, and slightly less under guardbands.
 from repro.experiments.figures import figure14
 
 
-def test_figure14(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure14, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure14(runner, record):
+    result = figure14(runner)
     record(result)
     m = result.measured_means
     base = m["BaseFreq-2GHz-savings"]

@@ -1,10 +1,10 @@
-"""Benchmark: regenerate Figure 3 (Vdd-frequency curves, DVFS deltas)."""
+"""Shape test: regenerate Figure 3 (Vdd-frequency curves, DVFS deltas)."""
 
 from repro.experiments.figures import figure3
 
 
-def test_figure3(benchmark, record):
-    result = benchmark(figure3)
+def test_figure3(record):
+    result = figure3()
     record(result)
     m = result.measured_means
     assert abs(m["boost_dv_cmos_mv"] - 75) < 1

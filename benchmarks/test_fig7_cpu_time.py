@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 7 (CPU execution time, all configs x apps).
+"""Shape test: regenerate Figure 7 (CPU execution time, all configs x apps).
 
 Shape targets (paper): BaseTFET ~2x slower, BaseHet ~1.4x, AdvHet within
 ~10-25%, AdvHet-2X faster than BaseCMOS.
@@ -7,10 +7,8 @@ Shape targets (paper): BaseTFET ~2x slower, BaseHet ~1.4x, AdvHet within
 from repro.experiments.figures import figure7
 
 
-def test_figure7(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure7, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure7(runner, record):
+    result = figure7(runner)
     record(result)
     m = result.measured_means
     assert m["BaseCMOS"] == 1.0

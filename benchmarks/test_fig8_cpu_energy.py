@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 8 (CPU energy with core/L2/L3 breakdown).
+"""Shape test: regenerate Figure 8 (CPU energy with core/L2/L3 breakdown).
 
 Shape targets (paper): BaseTFET -76%, BaseHet -35%, AdvHet -39%,
 AdvHet-2X -34%; savings come from both dynamic and leakage energy.
@@ -7,10 +7,8 @@ AdvHet-2X -34%; savings come from both dynamic and leakage energy.
 from repro.experiments.figures import figure8
 
 
-def test_figure8(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure8, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure8(runner, record):
+    result = figure8(runner)
     record(result)
     m = result.measured_means
     assert 0.18 < m["BaseTFET"] < 0.33

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 9 (CPU ED^2).
+"""Shape test: regenerate Figure 9 (CPU ED^2).
 
 Shape targets (paper): BaseHet worse than BaseCMOS (slower), AdvHet best
 single-chip design, AdvHet-2X by far the best overall.
@@ -7,10 +7,8 @@ single-chip design, AdvHet-2X by far the best overall.
 from repro.experiments.figures import figure9
 
 
-def test_figure9(benchmark, runner, record):
-    result = benchmark.pedantic(
-        figure9, args=(runner,), rounds=2, iterations=1, warmup_rounds=1
-    )
+def test_figure9(runner, record):
+    result = figure9(runner)
     record(result)
     m = result.measured_means
     assert m["BaseHet"] > 1.0

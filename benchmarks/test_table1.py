@@ -1,10 +1,10 @@
-"""Benchmark: regenerate Table I (device characteristics at 15 nm)."""
+"""Shape test: regenerate Table I (device characteristics at 15 nm)."""
 
 from repro.experiments.figures import table1
 
 
-def test_table1(benchmark, record):
-    result = benchmark(table1)
+def test_table1(record):
+    result = table1()
     record(result)
     rows = result.rows["rows"]
     assert len(rows) == 9

@@ -1,10 +1,10 @@
-"""Benchmark: regenerate Table III (simulated machine parameters)."""
+"""Shape test: regenerate Table III (simulated machine parameters)."""
 
 from repro.experiments.figures import table3
 
 
-def test_table3(benchmark, record):
-    result = benchmark(table3)
+def test_table3(record):
+    result = table3()
     record(result)
     assert "CPU Hardware" in result.rows
     assert "GPU Hardware" in result.rows

@@ -7,7 +7,8 @@ Commands
 ``exhibit NAME [NAME...]``
     Regenerate paper exhibits (e.g. ``table1``, ``figure7``) and print
     their tables plus paper-vs-measured comparisons.  Each exhibit is
-    followed by a one-line sweep-cache/telemetry summary.
+    followed by a one-line sweep-cache/telemetry summary.  Exit status:
+    0 = every cell ran, 3 = failed cells (their table goes to stderr).
 ``run CONFIG WORKLOAD [--json]``
     Run one configuration on one workload (CPU app or GPU kernel) and
     print the measurement; ``--json`` emits a machine-readable record.
@@ -84,16 +85,6 @@ Commands
 ``store gc DIR [--max-bytes N] [--keep-version V] [--json]``
     Drop store entries written by stale simulator versions, then
     enforce a total size budget oldest-first.
-``bench [--json] [--baseline PATH] [--tolerance T] [--update-baseline]
-[--instructions N] [--repeats N]``
-    Run the cycle-engine perf microbenchmarks (fast path vs
-    ``REPRO_NO_CYCLE_SKIP=1`` on the reference cells, trace-cache
-    amortization, cached-sweep latency) and gate the machine-independent
-    speedup ratios against the committed baseline
-    (``benchmarks/perf/BENCH_cycle_engine.json``) with a one-sided
-    tolerance.  Every run also rechecks cycle exactness: a fast-path
-    result that differs from the escape hatch fails regardless of
-    timing.  Exit status: 0 = ok, 1 = regression or exactness mismatch.
 
 Sweep sizing obeys ``REPRO_INSTRUCTIONS`` / ``REPRO_APPS`` /
 ``REPRO_KERNELS``, as everywhere else; fault injection (for exercising
@@ -153,6 +144,10 @@ def _cmd_exhibit(args: argparse.Namespace) -> int:
         print("\npaper vs measured (means):")
         print(paper_vs_measured(result))
         print(runner.telemetry.cache_summary())
+    failures = list(runner.failures.values())
+    if failures:
+        print(failure_table(failures), file=sys.stderr)
+        return 3
     return 0
 
 
@@ -1027,49 +1022,6 @@ def _cmd_poll(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    if args.tolerance < 0:
-        print("--tolerance must be >= 0", file=sys.stderr)
-        return 2
-    report = bench.run_bench(
-        instructions=args.instructions,
-        warmup=min(args.instructions // 4, 5000),
-        repeats=args.repeats,
-    )
-    if args.update_baseline:
-        bench.save_baseline(report, args.baseline)
-        if not args.json:
-            print(f"baseline written: {args.baseline}")
-    baseline = bench.load_baseline(args.baseline)
-    problems = (
-        bench.compare(report, baseline, tolerance=args.tolerance)
-        if baseline is not None
-        else bench.compare(report, {}, tolerance=args.tolerance)
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "report": report,
-                    "baseline": args.baseline if baseline is not None else None,
-                    "tolerance": args.tolerance,
-                    "regressions": problems,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(bench.format_report(report, problems if baseline is not None else None))
-        if baseline is None:
-            print(
-                f"no baseline at {args.baseline} (exactness still checked); "
-                f"write one with --update-baseline"
-            )
-    return 1 if problems else 0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1546,41 +1498,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="emit the gc report as JSON",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the cycle-engine perf microbenchmarks against the baseline",
-    )
-    p_bench.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline report to gate against "
-        "(default benchmarks/perf/BENCH_cycle_engine.json)",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=0.25, metavar="T",
-        help="allowed one-sided ratio shortfall vs baseline (default 0.25)",
-    )
-    p_bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="write this run's report as the new baseline",
-    )
-    p_bench.add_argument(
-        "--instructions", type=int, default=30000, metavar="N",
-        help="per-cell trace length (default 30000)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=2, metavar="N",
-        help="timing repeats per cell, best-of (default 2)",
-    )
-    p_bench.add_argument(
-        "--json", action="store_true",
-        help="emit the report, baseline path, and regressions as JSON",
-    )
-
     args = parser.parse_args(argv)
-    if args.command == "bench" and args.baseline is None:
-        from repro.bench import DEFAULT_BASELINE
-
-        args.baseline = DEFAULT_BASELINE
     handlers = {
         "list": _cmd_list,
         "exhibit": _cmd_exhibit,
@@ -1594,6 +1512,5 @@ def main(argv: "list[str] | None" = None) -> int:
         "top": _cmd_top,
         "fabric": _cmd_fabric,
         "store": _cmd_store,
-        "bench": _cmd_bench,
     }
     return handlers[args.command](args)

@@ -102,6 +102,26 @@ def _prewarm(hierarchy, profile: AppProfile) -> None:
     hierarchy.prewarm_region(g._STACK_BASE, profile.stack_kb * 1024, into_l1=True)
 
 
+def build_cpu_core(
+    design: CpuDesign,
+    profile: AppProfile,
+    name: str = "cpu.core0",
+    tracer=None,
+) -> OutOfOrderCore:
+    """A fresh detailed core for ``design``, its caches prewarmed for
+    ``profile`` -- the core every :func:`simulate_cpu` cell runs on."""
+    hierarchy = design.build_hierarchy(mem_intensity=profile.mem_intensity)
+    _prewarm(hierarchy, profile)
+    config = CoreConfig(
+        freq_ghz=design.freq_ghz,
+        resources=design.resources(),
+        steering_enabled=design.dual_speed_alu,
+    )
+    return OutOfOrderCore(
+        config, hierarchy, design.build_units(), name=name, tracer=tracer
+    )
+
+
 def simulate_cpu(
     design: CpuDesign,
     app: "str | AppProfile",
@@ -123,17 +143,9 @@ def simulate_cpu(
     profile = cpu_app(app) if isinstance(app, str) else app
 
     def core_factory(core_idx: int, n_cores: int) -> OutOfOrderCore:
-        hierarchy = design.build_hierarchy(mem_intensity=profile.mem_intensity)
-        _prewarm(hierarchy, profile)
-        config = CoreConfig(
-            freq_ghz=design.freq_ghz,
-            resources=design.resources(),
-            steering_enabled=design.dual_speed_alu,
-        )
-        return OutOfOrderCore(
-            config,
-            hierarchy,
-            design.build_units(),
+        return build_cpu_core(
+            design,
+            profile,
             name=f"cpu.core{core_idx}",
             tracer=tracer if core_idx == 0 else None,
         )

@@ -72,7 +72,7 @@ def cycle_skip_disabled() -> bool:
     When set, :class:`repro.cpu.core.OutOfOrderCore` and
     :class:`repro.gpu.cu.ComputeUnit` force the reference per-cycle walk
     instead of the event-driven fast path.  Read per ``run()`` call (not
-    cached at import) so tests and the bench harness can toggle it.
+    cached at import) so tests can toggle it.
     """
     return _env_flag("REPRO_NO_CYCLE_SKIP")
 
@@ -85,8 +85,7 @@ def batch_disabled() -> bool:
     :class:`repro.cpu.core.OutOfOrderCore` rebuilds its per-run hot lists
     instead of consuming the cached structure-of-arrays trace decode --
     i.e. it restores the PR 5 single-cell fast path exactly.  Read per
-    call (not cached at import) so tests and the bench harness can
-    toggle it.
+    call (not cached at import) so tests can toggle it.
     """
     return _env_flag("REPRO_NO_BATCH")
 

@@ -79,6 +79,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sweep cache:" in out
 
+    def test_exhibit_with_failed_cells_exits_3(self, capsys, monkeypatch):
+        """Cells that render as ``--`` fail the command, as in ``sweep``."""
+        monkeypatch.setenv("REPRO_APPS", "nope")
+        assert main(["exhibit", "figure7"]) == 3
+        captured = capsys.readouterr()
+        assert "-- (failed cells)" in captured.out
+        assert "unknown CPU app 'nope'" in captured.err
+
 
 class TestStatsCommand:
     def test_stats_cpu_json(self, capsys, monkeypatch):

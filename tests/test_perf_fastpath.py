@@ -1,5 +1,5 @@
-"""Fast-path cycle engines: cycle-skip equivalence, trace cache, shared-
-memory trace transport, and the perf-regression harness.
+"""Fast-path cycle engines: cycle-skip equivalence, trace cache, and
+shared-memory trace transport.
 
 The optimisation contract is "faster, never different": the event-driven
 skip/unboxed fast paths must produce byte-identical results to the
@@ -20,15 +20,21 @@ import time
 import numpy as np
 import pytest
 
-from repro import bench
 from repro.core.configs import cpu_config, gpu_config
-from repro.core.simulate import simulate_cpu, simulate_gpu
+from repro.core.simulate import (
+    _gpu_config,
+    build_cpu_core,
+    simulate_cpu,
+    simulate_gpu,
+)
+from repro.gpu.cu import ComputeUnit
 from repro.resilience import GuardPolicy, SweepPool
 from repro.resilience import shm as shm_transport
 from repro.resilience.pool import CellTask, PoolAborted
 from repro.workloads import cpu_app, gpu_kernel
 from repro.workloads.trace_cache import (
     TraceCache,
+    cached_kernel,
     cached_trace,
     reset_shared_cache,
     shared_cache,
@@ -74,38 +80,48 @@ def test_gpu_results_identical_with_and_without_skipping(monkeypatch):
         assert fast == slow, f"cycle skipping changed {config}/{kernel}"
 
 
+#: A memory-bound and an ILP-bound reference cell, with (instructions,
+#: warm-up) sizes at which both skip idle stretches.
+SKIP_CELLS = [
+    ("canneal", 6000, 1500),
+    ("canneal", 30_000, 5000),
+    ("blackscholes", 30_000, 5000),
+]
+
+
 def test_cpu_skip_counters_and_escape_hatch(monkeypatch):
-    """The memory-heavy cell actually skips; the hatch actually disables."""
+    """The reference cells actually skip; the hatch actually disables."""
     design = cpu_config("BaseCMOS")
-    profile = cpu_app("canneal")
-    trace = cached_trace(profile, 6000, seed=0)
+    for app, instructions, warmup in SKIP_CELLS:
+        profile = cpu_app(app)
+        trace = cached_trace(profile, instructions, seed=0)
 
-    monkeypatch.delenv(HATCH, raising=False)
-    core = bench._build_cpu_core(design, profile)
-    fast = core.run(trace, warmup=1500)
-    assert core.skipped_cycles > 0 and core.skip_events > 0
+        monkeypatch.delenv(HATCH, raising=False)
+        core = build_cpu_core(design, profile)
+        fast = core.run(trace, warmup=warmup)
+        assert core.skipped_cycles > 0 and core.skip_events > 0, app
 
-    monkeypatch.setenv(HATCH, "1")
-    hatch_core = bench._build_cpu_core(design, profile)
-    slow = hatch_core.run(trace, warmup=1500)
-    assert hatch_core.skipped_cycles == 0 and hatch_core.skip_events == 0
-    assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
+        monkeypatch.setenv(HATCH, "1")
+        hatch_core = build_cpu_core(design, profile)
+        slow = hatch_core.run(trace, warmup=warmup)
+        assert hatch_core.skipped_cycles == 0 and hatch_core.skip_events == 0
+        assert dataclasses.asdict(fast) == dataclasses.asdict(slow), (
+            f"cycle skipping changed BaseCMOS/{app} at {instructions}"
+        )
 
 
 def test_gpu_skip_counters_and_escape_hatch(monkeypatch):
     design = gpu_config("BaseCMOS")
     profile = gpu_kernel("DCT")
-    from repro.workloads.trace_cache import cached_kernel
-
     trace = cached_kernel(profile, seed=0)
 
     monkeypatch.delenv(HATCH, raising=False)
-    cu = bench._build_cu(design)
+    cu = ComputeUnit(_gpu_config(design).cu)
     fast = cu.run(trace)
     assert cu.skipped_cycles > 0 and cu.skip_events > 0
 
     monkeypatch.setenv(HATCH, "1")
-    hatch_cu = bench._build_cu(design)
+    hatch_cu = ComputeUnit(_gpu_config(design).cu)
     slow = hatch_cu.run(trace)
     assert hatch_cu.skipped_cycles == 0 and hatch_cu.skip_events == 0
     assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
@@ -402,56 +418,3 @@ def test_parallel_sweep_with_transport_matches_serial_cells():
     [outcome] = pool.run([task])
     direct = simulate_cpu(cpu_config("AdvHet"), "lu", instructions=3000, warmup=750)
     assert dataclasses.asdict(outcome.result) == dataclasses.asdict(direct)
-
-
-# ---------------------------------------------------------------------
-# perf-regression harness
-# ---------------------------------------------------------------------
-
-def test_bench_report_shape_and_exactness():
-    report = bench.run_bench(instructions=3000, warmup=750, repeats=1)
-    assert report["schema"] == bench.SCHEMA
-    assert set(report["cells"]) == {"cpu_mem", "cpu_ilp", "gpu"}
-    for cell in report["cells"].values():
-        assert cell["equivalent"], "bench must verify cycle exactness"
-        assert cell["fast_instr_per_s"] > 0 and cell["slow_instr_per_s"] > 0
-        assert cell["speedup"] > 0
-    assert report["trace_cache"]["amortization"] > 1
-    assert report["sweep"]["cold_s"] > 0 and report["sweep"]["warm_s"] > 0
-    batched = report["batched_sweep"]
-    assert batched["equivalent"], "batch=N must byte-equal batch=1"
-    assert batched["cells"] > 0 and batched["vectorized_cells"] > 0
-    assert batched["single_instr_per_s"] > 0 and batched["batch_instr_per_s"] > 0
-    reset_shared_cache()
-
-
-def test_bench_compare_flags_regressions_one_sided():
-    baseline = {
-        "cells": {"cpu_mem": {"speedup": 3.0, "equivalent": True}},
-        "sweep": {"speedup": 1.2},
-    }
-    good = {
-        "cells": {"cpu_mem": {"speedup": 2.5, "equivalent": True}},
-        "sweep": {"speedup": 4.0},  # faster than baseline never fails
-    }
-    assert bench.compare(good, baseline, tolerance=0.25) == []
-
-    slow = {"cells": {"cpu_mem": {"speedup": 2.0, "equivalent": True}}}
-    problems = bench.compare(slow, baseline, tolerance=0.25)
-    assert problems and "cells.cpu_mem.speedup" in problems[0]
-
-    broken = {"cells": {"cpu_mem": {"speedup": 9.9, "equivalent": False}}}
-    problems = bench.compare(broken, baseline, tolerance=0.25)
-    assert problems and "cycle exactness" in problems[0]
-    # Exactness gates even without any baseline.
-    assert bench.compare(broken, {}, tolerance=0.25)
-
-
-def test_committed_baseline_is_loadable_and_guarded():
-    """The committed baseline parses and covers every guarded ratio."""
-    path = os.path.join(os.path.dirname(__file__), "..", bench.DEFAULT_BASELINE)
-    baseline = bench.load_baseline(path)
-    assert baseline is not None, f"missing committed baseline at {path}"
-    assert baseline["schema"] == bench.SCHEMA
-    for guarded in bench.GUARDED:
-        assert bench._lookup(baseline, guarded) is not None, guarded

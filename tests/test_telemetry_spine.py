@@ -4,12 +4,15 @@ recovery from SIGKILLed workers, and the dashboards that read it all."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
 import pytest
 
 from repro import obs
+from repro.core.configs import cpu_config
+from repro.core.simulate import simulate_cpu
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.obs.events import chrome_trace, get_event_log, read_events
 from repro.obs.export import (
@@ -52,6 +55,43 @@ def spine_snapshot() -> str:
     return json.dumps(
         deterministic_snapshot(get_registry().snapshot()), sort_keys=True
     )
+
+
+# ---------------------------------------------------------------------
+# observability never perturbs a result
+# ---------------------------------------------------------------------
+
+def _results_doc() -> str:
+    """Canonical JSON of every cell of a small CPU + GPU sweep plus one
+    direct ``simulate_cpu`` run."""
+    runner = small_runner()
+    sweeps = {
+        "cpu": runner.cpu_sweep(["BaseCMOS", "AdvHet"]),
+        "gpu": runner.gpu_sweep(["BaseCMOS", "AdvHet"]),
+    }
+    doc = {
+        f"{kind}/{config}/{workload}": dataclasses.asdict(run)
+        for kind, sweep in sweeps.items()
+        for config, row in sweep.items()
+        for workload, run in row.items()
+    }
+    doc["simulate_cpu"] = dataclasses.asdict(
+        simulate_cpu(
+            cpu_config("BaseCMOS"), "blackscholes",
+            instructions=3_000, warmup=750,
+        )
+    )
+    return json.dumps(doc, sort_keys=True, default=str)
+
+
+def test_enabling_obs_leaves_every_cell_identical():
+    obs.set_enabled(False)
+    off = _results_doc()
+    assert not get_registry().snapshot()
+    obs.set_enabled(True)
+    on = _results_doc()
+    assert get_registry().snapshot(), "obs-on run recorded no metrics"
+    assert on == off
 
 
 # ---------------------------------------------------------------------
