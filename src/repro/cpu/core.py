@@ -33,10 +33,10 @@ from functools import partial
 from heapq import heappop, heappush
 
 from repro import obs
-from repro.obs import batch_disabled, cycle_skip_disabled
+from repro.obs import cycle_skip_disabled
 from repro.cpu.branch import BranchTargetBuffer, ReturnAddressStack, TournamentPredictor
 from repro.cpu.resources import CoreResources, ResourceConfig
-from repro.cpu.soa import decode_trace, decode_trace_uncached
+from repro.cpu.soa import decode_trace
 from repro.cpu.steering import DualSpeedSteering
 from repro.cpu.trace import Trace
 from repro.cpu.units import FunctionalUnitPool
@@ -320,13 +320,8 @@ class OutOfOrderCore:
         tracer = self.tracer
         # The SoA decode (hot trace fields unboxed to plain lists, plus
         # precomputed producer indices and fetch-line flags) is memoised
-        # on the trace and shared by every run/config/core touching it;
-        # the REPRO_NO_BATCH hatch pins PR 5's per-run rebuild instead.
-        soa = (
-            decode_trace_uncached(trace)
-            if batch_disabled()
-            else decode_trace(trace)
-        )
+        # on the trace and shared by every run/config/core touching it.
+        soa = decode_trace(trace)
         op_l = soa.op
         prod1_l = soa.prod1
         prod2_l = soa.prod2

@@ -17,10 +17,6 @@ Unboxing matters as much as caching: indexing a numpy array yields a
 boxed numpy scalar whose arithmetic is several times slower than a plain
 ``int``, which is why the hot loop consumes lists, not arrays (the
 ``tests/test_perf_fastpath.py`` audit enforces this).
-
-``REPRO_NO_BATCH=1`` makes the core ignore this cache and rebuild its
-per-run lists exactly as PR 5 did -- the differential hatch for the
-SoA layer.
 """
 
 from __future__ import annotations
@@ -72,18 +68,6 @@ def decode_trace(trace: Trace) -> TraceSoA:
     cached = getattr(trace, "_soa", None)
     if cached is not None:
         return cached
-    soa = decode_trace_uncached(trace)
-    try:
-        trace._soa = soa
-    except AttributeError:  # exotic trace type without __dict__
-        pass
-    return soa
-
-
-def decode_trace_uncached(trace: Trace) -> TraceSoA:
-    """One fresh decode, no memo -- the ``REPRO_NO_BATCH=1`` path, which
-    pins PR 5's per-run unboxing cost (and keeps runs free of any
-    cross-run shared state)."""
     n = len(trace)
     idx = np.arange(n, dtype=np.int64)
     d1 = trace.src1_dist.astype(np.int64)
@@ -95,7 +79,7 @@ def decode_trace_uncached(trace: Trace) -> TraceSoA:
     if n:
         new_line[0] = True
         np.not_equal(lines[1:], lines[:-1], out=new_line[1:])
-    return TraceSoA(
+    soa = TraceSoA(
         op=trace.op.tolist(),
         addr=trace.addr.tolist(),
         pc=trace.pc.tolist(),
@@ -104,3 +88,8 @@ def decode_trace_uncached(trace: Trace) -> TraceSoA:
         prod2=prod2.tolist(),
         new_line=new_line.tolist(),
     )
+    try:
+        trace._soa = soa
+    except AttributeError:  # exotic trace type without __dict__
+        pass
+    return soa

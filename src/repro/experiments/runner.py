@@ -18,11 +18,13 @@ Resilience (:mod:`repro.resilience`)
 Every execution goes through the guard path: configuration and workload
 names are validated *before* anything runs (an unknown name is an
 immediate, actionable ``KeyError``, recorded in the failure taxonomy as
-``config``/``workload``); the simulation itself runs under the
-:class:`~repro.resilience.guard.GuardPolicy` wall-clock timeout and
-retry/backoff budget, routed through the env-gated fault injector when one
-is active; and results are sanity-checked so a corrupted measurement is
-rejected rather than cached.  A cell that exhausts its budget raises
+``config``/``workload``); the cells run as one engine batch (a single
+cell is a batch of one) under the
+:class:`~repro.resilience.guard.GuardPolicy` wall-clock timeout scaled to
+the batch, then each cell gets the policy's retry/backoff budget, routed
+through the env-gated fault injector when one is active; and results are
+sanity-checked so a corrupted measurement is rejected rather than cached.
+A cell that exhausts its budget raises
 :class:`~repro.resilience.errors.SweepError` from the strict per-cell
 methods (``cpu_run`` etc.) but degrades to a recorded gap (``None`` cell,
 :class:`~repro.resilience.errors.RunFailure` in :attr:`SweepRunner.failures`)
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import threading
 import time
@@ -60,9 +61,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro import obs
 from repro.core.configs import cpu_config, gpu_config
+# perfbench's ledger wraps these four engine names where the runner looks.
 from repro.core.simulate import (
+    CpuCellOutcome,
     CpuRunResult,
     GpuRunResult,
     simulate_cpu,
@@ -75,7 +77,12 @@ from repro.obs.telemetry import SweepTelemetry
 from repro.resilience import faults
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.errors import RunFailure, SweepError
-from repro.resilience.guard import GuardPolicy, run_guarded, zombie_thread_count
+from repro.resilience.guard import (
+    GuardPolicy,
+    call_with_timeout,
+    run_guarded,
+    zombie_thread_count,
+)
 from repro.resilience.selfcheck import validate_result
 from repro.workloads.gpu_profiles import GPU_KERNELS, gpu_kernel
 from repro.workloads.profiles import CPU_APPS, cpu_app
@@ -129,10 +136,52 @@ class SweepSettings:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-#: Largest cell batch handed to one pool worker attempt.  Bounds both the
-#: blast radius of a worker death (the whole batch requeues as single-cell
-#: attempts) and the padded array footprint of the lockstep GPU engine.
-POOL_BATCH_MAX = 16
+def simulate_cells(
+    run_kind: str, cells: "list[tuple]", instructions: int, warmup: int
+) -> list:
+    """Run one batch of resolved ``(design, workload, extra)`` cells.
+
+    Returns per-cell outcomes (``result`` or ``error``) in cell order; one
+    cell's error never fails its siblings.  CPU and GPU cells go through
+    the batched drivers (GPU cells in SIMT lockstep), DVFS points run in
+    sequence.  In-process sweeps and pool workers both call this, so a
+    cell computes identically wherever it runs.
+    """
+    if run_kind == "gpu":
+        return simulate_gpu_batch([(design, w) for design, w, _ in cells])
+    if run_kind == "cpu":
+        return simulate_cpu_batch(
+            [(design, w) for design, w, _ in cells],
+            instructions=instructions,
+            warmup=warmup,
+        )
+    if run_kind != "dvfs":
+        raise ValueError(f"unknown run kind {run_kind!r}")
+    from repro.core.dvfs import HetCoreDvfs
+
+    outcomes = []
+    for design, app, (freq_ghz, variation) in cells:
+        try:
+            result = HetCoreDvfs().simulate_at(
+                design,
+                app,
+                freq_ghz,
+                variation=variation,
+                instructions=instructions,
+                warmup=warmup,
+            )
+        except Exception as exc:
+            outcomes.append(CpuCellOutcome(result=None, error=exc))
+        else:
+            outcomes.append(CpuCellOutcome(result=result, error=None))
+    return outcomes
+
+
+def _unwrap(outcome):
+    """A cell outcome's result, or its error raised."""
+    if outcome.error is not None:
+        raise outcome.error
+    return outcome.result
 
 
 def _resolve_isolation(workers: int, isolation: "str | None") -> str:
@@ -351,17 +400,14 @@ class SweepRunner:
     def _record_validation_failure(
         self, run_kind: str, config: str, workload: str, kind: str, exc: Exception
     ) -> None:
-        failure = RunFailure(
+        self.record_gap(RunFailure(
             run_kind=run_kind,
             config=config,
             workload=workload,
             kind=kind,
             attempts=0,
             message=str(exc).strip('"'),
-        )
-        with self._lock:
-            self.failures[failure.cell] = failure
-            self.telemetry.record_failure(failure)
+        ))
 
     def _execute(self, run_kind: str, key: tuple, fn: Callable[[], object]):
         """One execution attempt, routed through the fault injector."""
@@ -393,40 +439,119 @@ class SweepRunner:
                 stacklevel=3,
             )
 
-    def _guarded(
-        self,
-        run_kind: str,
-        key: tuple,
-        cache: dict,
-        fn: Callable[[], object],
-        config_name: str,
-        workload: str,
-        instructions_of: Callable[[object], int],
-        extra: tuple = (),
-    ):
-        """Cache lookup + guarded execution for one sweep cell."""
-        cached = key in cache
-        if not cached:
-            stored = self._store_fetch(run_kind, key)
-            if stored is not None:
+    def _missing(
+        self, run_kind: str, cells: "list[tuple]", strict: bool = False
+    ) -> "list[tuple]":
+        """The cells left to execute, as ``(key, (design, workload, extra))``.
+
+        Every other cell is accounted for here: served from the memory
+        cache or promoted from the durable store (a cache hit either
+        way), or recorded as a config/workload gap -- which raises
+        instead when ``strict`` or under ``fail_fast``.
+        """
+        cache = self._cache_for(run_kind)
+        todo: "list[tuple]" = []
+        for config_name, workload, extra in cells:
+            key = (config_name, workload, *extra)
+            cached = cache.get(key)
+            if cached is None:
+                cached = self._store_fetch(run_kind, key)
+                if cached is not None:
+                    with self._lock:
+                        cache[key] = cached
+                        # A durably stored success supersedes any gap.
+                        self.failures.pop((run_kind, *key), None)
+            if cached is not None:
                 with self._lock:
-                    cache[key] = stored
-                    # A durably stored success supersedes any recorded gap.
-                    self.failures.pop(
-                        (run_kind, config_name, workload, *extra), None
-                    )
                     self.telemetry.record_run(
                         run_kind, config_name, workload, 0.0,
-                        instructions_of(stored), cached=True,
+                        self._instructions_of(run_kind, cached), cached=True,
                     )
-                return stored
-            elog = get_event_log()
+                continue
+            try:
+                design = self._validated(run_kind, config_name, workload)
+            except KeyError:
+                if strict or self.policy.fail_fast:
+                    raise
+                continue  # recorded as a config/workload gap
+            todo.append((key, (design, workload, tuple(extra))))
+        return todo
 
-            def on_retry(attempt: int, kind: str) -> None:
+    def _commit(self, run_kind: str, key: tuple, result, wall_s: float):
+        """Merge one executed success into the caches, telemetry, durable
+        store and checkpoint."""
+        with self._lock:
+            self._cache_for(run_kind)[key] = result
+            # A fresh success supersedes any gap recorded for this cell.
+            self.failures.pop((run_kind, *key), None)
+            self.telemetry.record_run(
+                run_kind, key[0], key[1], wall_s,
+                self._instructions_of(run_kind, result), cached=False,
+            )
+            self._store_put(run_kind, key, result)
+            if self.checkpoint is not None:
+                self.save_checkpoint()
+
+    def _run_cells(
+        self, run_kind: str, cells: "list[tuple]", strict: bool = False
+    ) -> None:
+        """Execute ``(config, workload, extra)`` cells in-process.
+
+        Every in-process cell runs here; a strict ``cpu_run`` is a batch
+        of one.  One :func:`simulate_cells` call computes every cell the
+        caches, the durable store and name validation leave over, under
+        the policy timeout scaled to the batch (``timeout_s`` x cells).
+        Each cell then goes through its own guard attempts -- fault
+        injector, ``validate_result`` self-check, retry/backoff budget,
+        failure taxonomy -- whose first attempt replays the batch's
+        outcome and whose retries re-run the cell alone.  A failed cell,
+        or each cell of a timed-out batch, becomes a recorded gap (raised
+        as :class:`SweepError` when ``strict`` or under ``fail_fast``);
+        its batch siblings keep their results.
+        """
+        todo = self._missing(run_kind, cells, strict)
+        if not todo:
+            return
+        settings = self.settings
+
+        def engine(batch: "list[tuple]") -> list:
+            return simulate_cells(
+                run_kind, batch, settings.instructions, settings.warmup
+            )
+
+        timeout_s = self.policy.timeout_s
+        start = time.perf_counter()
+        try:
+            outcomes = call_with_timeout(
+                lambda: engine([cell for _, cell in todo]),
+                None if timeout_s is None else timeout_s * len(todo),
+            )
+        except Exception as exc:
+            # A timed-out batch costs every one of its cells an attempt.
+            outcomes = [CpuCellOutcome(result=None, error=exc)] * len(todo)
+        batch_wall = time.perf_counter() - start
+        per_cell_wall = batch_wall / len(todo)
+
+        elog = get_event_log()
+        instructions = cycles = skipped = vectorized = 0
+        for (key, cell), out in zip(todo, outcomes):
+            config_name, workload, *extra = key
+            vectorized += int(getattr(out, "vectorized", False))
+            skipped += getattr(out, "skipped_cycles", 0)
+
+            # Attempt 1 replays the batch's outcome; retries re-run the
+            # cell alone.  Defaults bind this cell for abandoned threads.
+            def attempt(replays=iter([out]), cell=cell, key=key):
+                replay = next(replays, None)
+                return self._execute(
+                    run_kind, key, lambda: _unwrap(replay or engine([cell])[0])
+                )
+
+            def on_retry(number: int, kind: str) -> None:
                 self.telemetry.record_retry(run_kind, kind)
                 elog.emit(
                     "guard.retry", run_kind=run_kind, config=config_name,
-                    workload=workload, attempt=attempt, failure_kind=kind,
+                    workload=workload, attempt=number, failure_kind=kind,
                 )
 
             with elog.span(
@@ -434,141 +559,82 @@ class SweepRunner:
                 workload=workload,
             ):
                 outcome = run_guarded(
-                    lambda: self._execute(run_kind, key, fn),
+                    attempt,
                     policy=self.policy,
                     run_kind=run_kind,
                     config=config_name,
                     workload=workload,
-                    extra=extra,
+                    extra=tuple(extra),
                     validate=lambda result: validate_result(run_kind, result),
                     on_retry=on_retry,
                 )
             self._note_zombies()
             if outcome.failure is not None:
-                with self._lock:
-                    self.failures[outcome.failure.cell] = outcome.failure
-                    self.telemetry.record_failure(outcome.failure)
-                raise SweepError(outcome.failure)
-            with self._lock:
-                cache[key] = outcome.result
-                # A fresh success supersedes any gap recorded for this cell.
-                self.failures.pop(
-                    (run_kind, config_name, workload, *extra), None
-                )
-                self.telemetry.record_run(
-                    run_kind,
-                    config_name,
-                    workload,
-                    outcome.wall_s,
-                    instructions_of(outcome.result),
-                    cached=False,
-                )
-                self._store_put(run_kind, key, outcome.result)
-                if self.checkpoint is not None:
-                    self.save_checkpoint()
-            return outcome.result
-        result = cache[key]
-        with self._lock:
-            self.telemetry.record_run(
-                run_kind, config_name, workload, 0.0,
-                instructions_of(result), cached=True,
+                self.record_gap(outcome.failure)
+                if strict or self.policy.fail_fast:
+                    raise SweepError(outcome.failure)
+                continue
+            self._commit(
+                run_kind, key, outcome.result, per_cell_wall + outcome.wall_s
             )
-        return result
+            instructions += self._instructions_of(run_kind, outcome.result)
+            if run_kind == "gpu":
+                cycles += outcome.result.gpu.cu_result.cycles
+            else:
+                cycles += outcome.result.core.cycles
+        with self._lock:
+            self.telemetry.record_batch(
+                run_kind,
+                cells=len(todo),
+                vectorized=vectorized,
+                wall_s=batch_wall,
+                instructions=instructions,
+                cycles=cycles,
+                skipped_cycles=skipped,
+            )
+        elog.emit(
+            "sweep.batch", run_kind=run_kind, cells=len(todo),
+            vectorized=vectorized, wall_s=batch_wall,
+            instructions=instructions,
+        )
+
+    def _one(
+        self, run_kind: str, config_name: str, workload: str,
+        extra: tuple = (), strict: bool = False,
+    ):
+        """One cell as a batch of one; its result, or None for a gap."""
+        cell = (config_name, workload, tuple(extra))
+        self._run_cells(run_kind, [cell], strict)
+        return self._cache_for(run_kind).get((config_name, workload, *extra))
 
     # -- strict per-cell API -------------------------------------------
     def dvfs_run(
         self, config_name: str, app: str, freq_ghz: float, variation: bool
     ) -> CpuRunResult:
         """A DVFS/guardband point (Figure 14), cached like the sweeps."""
-        design = self._validated("dvfs", config_name, app)
-        key = (config_name, app, freq_ghz, variation)
-
-        def execute() -> CpuRunResult:
-            from repro.core.dvfs import HetCoreDvfs
-
-            return HetCoreDvfs().simulate_at(
-                design,
-                app,
-                freq_ghz,
-                variation=variation,
-                instructions=self.settings.instructions,
-                warmup=self.settings.warmup,
-            )
-
-        return self._guarded(
-            "dvfs",
-            key,
-            self._dvfs_cache,
-            execute,
-            config_name,
-            app,
-            lambda r: r.core.committed,
-            extra=(freq_ghz, variation),
+        return self._one(
+            "dvfs", config_name, app, (freq_ghz, variation), strict=True
         )
 
     def cpu_run(self, config_name: str, app: str) -> CpuRunResult:
-        design = self._validated("cpu", config_name, app)
-        key = (config_name, app)
-
-        def execute() -> CpuRunResult:
-            return simulate_cpu(
-                design,
-                app,
-                instructions=self.settings.instructions,
-                warmup=self.settings.warmup,
-            )
-
-        return self._guarded(
-            "cpu",
-            key,
-            self._cpu_cache,
-            execute,
-            config_name,
-            app,
-            lambda r: r.core.committed,
-        )
+        return self._one("cpu", config_name, app, strict=True)
 
     def gpu_run(self, config_name: str, kernel: str) -> GpuRunResult:
-        design = self._validated("gpu", config_name, kernel)
-        key = (config_name, kernel)
-
-        def execute() -> GpuRunResult:
-            return simulate_gpu(design, kernel)
-
-        return self._guarded(
-            "gpu",
-            key,
-            self._gpu_cache,
-            execute,
-            config_name,
-            kernel,
-            lambda r: r.gpu.cu_result.instructions,
-        )
+        return self._one("gpu", config_name, kernel, strict=True)
 
     # -- gap-tolerant API ----------------------------------------------
-    def _cell(self, fn: Callable[[], object]):
-        """Run one cell; degrade failures to None unless fail-fast."""
-        try:
-            return fn()
-        except (SweepError, KeyError):
-            if self.policy.fail_fast:
-                raise
-            return None
-
     def cpu_cell(self, config_name: str, app: str) -> "CpuRunResult | None":
         """Like :meth:`cpu_run`, but a failed cell returns None (recorded
-        in :attr:`failures`) instead of raising."""
-        return self._cell(lambda: self.cpu_run(config_name, app))
+        in :attr:`failures`) instead of raising -- unless fail-fast."""
+        return self._one("cpu", config_name, app)
 
     def gpu_cell(self, config_name: str, kernel: str) -> "GpuRunResult | None":
-        return self._cell(lambda: self.gpu_run(config_name, kernel))
+        return self._one("gpu", config_name, kernel)
 
     def dvfs_cell(
         self, config_name: str, app: str, freq_ghz: float, variation: bool
     ) -> "CpuRunResult | None":
-        return self._cell(
-            lambda: self.dvfs_run(config_name, app, freq_ghz, variation)
-        )
+        return self._one("dvfs", config_name, app, (freq_ghz, variation))
 
     def run_cell(
         self,
@@ -582,175 +648,24 @@ class SweepRunner:
         """Execute one cell of any kind; gap-tolerant, isolation-selectable.
 
         The job service's per-job execution entrypoint: ``"thread"``
-        routes through the in-process guard path
-        (:meth:`cpu_cell`/:meth:`gpu_cell`/:meth:`dvfs_cell`),
-        ``"process"`` through a single-slot supervised worker pool.
-        Returns the result or ``None`` with the gap recorded in
-        :attr:`failures` -- identical semantics to a one-cell sweep.
+        runs the cell in-process as a batch of one, ``"process"`` in a
+        single-slot supervised worker pool.  Returns the result or
+        ``None`` with the gap recorded in :attr:`failures` -- identical
+        semantics to a one-cell sweep.
         """
-        if isolation == "process":
-            self._pool_cells(
-                run_kind, [(config_name, workload, tuple(extra))], workers=1
-            )
-            return self._cache_for(run_kind).get(
-                (config_name, workload, *extra)
-            )
-        if run_kind == "cpu":
-            return self.cpu_cell(config_name, workload)
-        if run_kind == "gpu":
-            return self.gpu_cell(config_name, workload)
-        if run_kind == "dvfs":
-            return self.dvfs_cell(config_name, workload, *extra)
-        raise ValueError(f"unknown run kind {run_kind!r}")
+        if run_kind not in ("cpu", "gpu", "dvfs"):
+            raise ValueError(f"unknown run kind {run_kind!r}")
+        cell = (config_name, workload, tuple(extra))
+        self._sweep(run_kind, [cell], 1, isolation)
+        return self._cache_for(run_kind).get((config_name, workload, *extra))
 
     def record_gap(self, failure: RunFailure) -> None:
-        """Record an externally decided gap (e.g. a shed or drained job)
-        in the failure taxonomy, telemetry, and the next checkpoint flush."""
+        """Record a gap (a failed cell, or an externally decided one such
+        as a shed or drained job) in the failure taxonomy, telemetry, and
+        the next checkpoint flush."""
         with self._lock:
             self.failures[failure.cell] = failure
             self.telemetry.record_failure(failure)
-
-    # -- batched in-process execution ----------------------------------
-    def _batched_cells(self, run_kind: str, cells: "list[tuple]") -> None:
-        """Execute a sweep's missing cells through the batched drivers.
-
-        One :func:`~repro.core.simulate.simulate_gpu_batch` /
-        ``simulate_cpu_batch`` invocation covers every cell the caches,
-        the durable store, and name validation leave over; each
-        batch-computed cell is then *replayed* through exactly the
-        per-cell guard path the serial sweep uses -- fault injector,
-        ``validate_result`` self-check, retry/backoff budget, failure
-        taxonomy, store write-back, incremental checkpoint flush -- so
-        batched and unbatched sweeps produce byte-identical result
-        mappings and failure records.  A cell whose engine run raised
-        re-raises inside its own replay: the guard degrades it to a
-        recorded gap for that cell only, its batch siblings keep their
-        results.
-        """
-        cache = self._cache_for(run_kind)
-        todo: "list[tuple]" = []  # (key, config, workload, extra, design)
-        for config_name, workload, extra in cells:
-            key = (config_name, workload, *extra)
-            if key not in cache:
-                stored = self._store_fetch(run_kind, key)
-                if stored is not None:
-                    with self._lock:
-                        cache[key] = stored
-                        self.failures.pop(
-                            (run_kind, config_name, workload, *extra), None
-                        )
-            if key in cache:
-                with self._lock:
-                    self.telemetry.record_run(
-                        run_kind,
-                        config_name,
-                        workload,
-                        0.0,
-                        self._instructions_of(run_kind, cache[key]),
-                        cached=True,
-                    )
-                continue
-            try:
-                design = self._validated(run_kind, config_name, workload)
-            except KeyError:
-                if self.policy.fail_fast:
-                    raise
-                continue  # recorded as a config/workload gap
-            todo.append((key, config_name, workload, extra, design))
-        if not todo:
-            return
-
-        start = time.perf_counter()
-        if run_kind == "gpu":
-            outcomes = simulate_gpu_batch(
-                [(design, workload) for _, _, workload, _, design in todo]
-            )
-        else:
-            outcomes = simulate_cpu_batch(
-                [(design, workload) for _, _, workload, _, design in todo],
-                instructions=self.settings.instructions,
-                warmup=self.settings.warmup,
-            )
-        batch_wall = time.perf_counter() - start
-        per_cell_wall = batch_wall / len(todo)
-
-        elog = get_event_log()
-        instructions = cycles = skipped = vectorized = 0
-        for (key, config_name, workload, extra, _), out in zip(todo, outcomes):
-            vectorized += int(getattr(out, "vectorized", False))
-            skipped += getattr(out, "skipped_cycles", 0)
-
-            def replay(out=out):
-                if out.error is not None:
-                    raise out.error
-                return out.result
-
-            def on_retry(attempt: int, kind: str) -> None:
-                self.telemetry.record_retry(run_kind, kind)
-                elog.emit(
-                    "guard.retry", run_kind=run_kind, config=config_name,
-                    workload=workload, attempt=attempt, failure_kind=kind,
-                )
-
-            with elog.span(
-                "cell.attempt", run_kind=run_kind, config=config_name,
-                workload=workload, batched=True,
-            ):
-                outcome = run_guarded(
-                    lambda: self._execute(run_kind, key, replay),
-                    policy=self.policy,
-                    run_kind=run_kind,
-                    config=config_name,
-                    workload=workload,
-                    extra=extra,
-                    validate=lambda result: validate_result(run_kind, result),
-                    on_retry=on_retry,
-                )
-            self._note_zombies()
-            if outcome.failure is not None:
-                with self._lock:
-                    self.failures[outcome.failure.cell] = outcome.failure
-                    self.telemetry.record_failure(outcome.failure)
-                if self.policy.fail_fast:
-                    raise SweepError(outcome.failure)
-                continue
-            with self._lock:
-                cache[key] = outcome.result
-                self.failures.pop(
-                    (run_kind, config_name, workload, *extra), None
-                )
-                n = self._instructions_of(run_kind, outcome.result)
-                instructions += n
-                if run_kind == "gpu":
-                    cycles += outcome.result.gpu.cu_result.cycles
-                else:
-                    cycles += outcome.result.core.cycles
-                self.telemetry.record_run(
-                    run_kind,
-                    config_name,
-                    workload,
-                    per_cell_wall + outcome.wall_s,
-                    n,
-                    cached=False,
-                )
-                self._store_put(run_kind, key, outcome.result)
-                if self.checkpoint is not None:
-                    self.save_checkpoint()
-        with self._lock:
-            self.telemetry.record_batch(
-                run_kind,
-                cells=len(todo),
-                vectorized=vectorized,
-                wall_s=batch_wall,
-                instructions=instructions,
-                cycles=cycles,
-                skipped_cycles=skipped,
-            )
-        get_event_log().emit(
-            "sweep.batch", run_kind=run_kind, cells=len(todo),
-            vectorized=vectorized, wall_s=batch_wall,
-            instructions=instructions,
-        )
 
     # -- process-isolated parallel execution ---------------------------
     def _cache_for(self, run_kind: str) -> dict:
@@ -803,55 +718,17 @@ class SweepRunner:
         """
         from repro.resilience.pool import CellTask, SweepPool
 
-        cache = self._cache_for(run_kind)
-        tasks: "list[CellTask]" = []
-        for config_name, workload, extra in cells:
-            key = (config_name, workload, *extra)
-            if key not in cache:
-                stored = self._store_fetch(run_kind, key)
-                if stored is not None:
-                    with self._lock:
-                        cache[key] = stored
-                        self.failures.pop(
-                            (run_kind, config_name, workload, *extra), None
-                        )
-            if key in cache:
-                with self._lock:
-                    self.telemetry.record_run(
-                        run_kind,
-                        config_name,
-                        workload,
-                        0.0,
-                        self._instructions_of(run_kind, cache[key]),
-                        cached=True,
-                    )
-                continue
-            try:
-                self._validated(run_kind, config_name, workload)
-            except KeyError:
-                if self.policy.fail_fast:
-                    raise
-                continue  # recorded as a config/workload gap
-            tasks.append(CellTask(run_kind, config_name, workload, tuple(extra)))
+        tasks = [
+            CellTask(run_kind, key[0], key[1], key[2:])
+            for key, _ in self._missing(run_kind, cells)
+        ]
         if not tasks:
             return
-
-        # Hand each worker attempt a *batch* of cells (amortising process
-        # start-up, trace decode, and -- for the GPU -- the lockstep
-        # engine across the batch) unless batching is hatched off.  The
-        # batch splits evenly across the worker slots so parallelism is
-        # never traded away for batch depth.
-        batch_cells = 1
-        if not obs.batch_disabled():
-            batch_cells = min(
-                POOL_BATCH_MAX, math.ceil(len(tasks) / workers)
-            )
         pool = SweepPool(
             policy=self.policy,
             instructions=self.settings.instructions,
             warmup=self.settings.warmup,
             workers=workers,
-            batch_cells=batch_cells,
             on_event=self._pool_event,
         )
         with self._lock:
@@ -876,27 +753,12 @@ class SweepRunner:
         :class:`SweepError` under a ``fail_fast`` policy (which aborts
         the emitting pool).
         """
-        cache = self._cache_for(run_kind)
-        with self._lock:
-            if outcome.ok:
-                cache[task.key] = outcome.result
-                self.failures.pop(task.cell, None)
-                self.telemetry.record_run(
-                    run_kind,
-                    task.config,
-                    task.workload,
-                    outcome.wall_s,
-                    self._instructions_of(run_kind, outcome.result),
-                    cached=False,
-                )
-                self._store_put(run_kind, task.key, outcome.result)
-                if self.checkpoint is not None:
-                    self.save_checkpoint()
-            else:
-                self.failures[outcome.failure.cell] = outcome.failure
-                self.telemetry.record_failure(outcome.failure)
-                if self.policy.fail_fast:
-                    raise SweepError(outcome.failure)
+        if outcome.ok:
+            self._commit(run_kind, task.key, outcome.result, outcome.wall_s)
+            return
+        self.record_gap(outcome.failure)
+        if self.policy.fail_fast:
+            raise SweepError(outcome.failure)
 
     def abort_active_pools(self) -> int:
         """Abort every in-flight :class:`SweepPool` (drain-deadline path);
@@ -906,6 +768,17 @@ class SweepRunner:
         for pool in pools:
             pool.abort()
         return len(pools)
+
+    def _sweep(
+        self, run_kind: str, cells: "list[tuple]", workers: int,
+        isolation: "str | None",
+    ) -> None:
+        """Execute ``cells`` in-process or, for ``isolation="process"``,
+        in ``workers`` supervised worker processes."""
+        if _resolve_isolation(workers, isolation) == "process":
+            self._pool_cells(run_kind, cells, workers)
+        else:
+            self._run_cells(run_kind, cells)
 
     def cpu_sweep(
         self,
@@ -923,16 +796,7 @@ class SweepRunner:
         """
         apps = self.settings.apps
         cells = [(name, app, ()) for name in config_names for app in apps]
-        if _resolve_isolation(workers, isolation) == "process":
-            self._pool_cells("cpu", cells, workers)
-        elif obs.batch_disabled():
-            # REPRO_NO_BATCH=1: the single-cell differential hatch.
-            return {
-                name: {app: self.cpu_cell(name, app) for app in apps}
-                for name in config_names
-            }
-        else:
-            self._batched_cells("cpu", cells)
+        self._sweep("cpu", cells, workers, isolation)
         return {
             name: {app: self._cpu_cache.get((name, app)) for app in apps}
             for name in config_names
@@ -947,16 +811,7 @@ class SweepRunner:
     ) -> "dict[str, dict[str, GpuRunResult | None]]":
         kernels = self.settings.kernels
         cells = [(name, k, ()) for name in config_names for k in kernels]
-        if _resolve_isolation(workers, isolation) == "process":
-            self._pool_cells("gpu", cells, workers)
-        elif obs.batch_disabled():
-            # REPRO_NO_BATCH=1: the single-cell differential hatch.
-            return {
-                name: {k: self.gpu_cell(name, k) for k in kernels}
-                for name in config_names
-            }
-        else:
-            self._batched_cells("gpu", cells)
+        self._sweep("gpu", cells, workers, isolation)
         return {
             name: {k: self._gpu_cache.get((name, k)) for k in kernels}
             for name in config_names
@@ -972,14 +827,9 @@ class SweepRunner:
         """DVFS/guardband points (config, app, freq_ghz, variation) as a
         {point: result-or-None} mapping, in the given point order."""
         points = [tuple(p) for p in points]
-        if _resolve_isolation(workers, isolation) == "process":
-            self._pool_cells(
-                "dvfs",
-                [(config, app, (freq, var)) for config, app, freq, var in points],
-                workers,
-            )
-            return {p: self._dvfs_cache.get(p) for p in points}
-        return {p: self.dvfs_cell(*p) for p in points}
+        cells = [(c, a, (f, v)) for c, a, f, v in points]
+        self._sweep("dvfs", cells, workers, isolation)
+        return {p: self._dvfs_cache.get(p) for p in points}
 
 
 #: Process-wide default runner so independent figure calls share runs.

@@ -49,10 +49,10 @@ the vector loop hands the last few straggler cells (the batch's longest
 kernels) to a scalar continuation (:func:`_finish_scalar`) that resumes
 each cell from its lockstep state -- same loop semantics, same results,
 without burning a full-width step per straggler cycle.  Small batches
-fall back to the scalar engine entirely, as do cells the vector path
-does not model (partitioned register files) and every cell when
-``REPRO_NO_CYCLE_SKIP=1`` or ``REPRO_NO_BATCH=1`` is set.  Fallbacks
-are pure performance decisions; results are identical either way.
+(a single cell, say) fall back to the scalar engine entirely, as do
+cells the vector path does not model (partitioned register files) and
+every cell when ``REPRO_NO_CYCLE_SKIP=1`` is set.  Fallbacks are pure
+performance decisions; results are identical either way.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 
 from repro import obs
 from repro.gpu.cu import SIMDS_PER_CU, ComputeUnit, CUConfig, CUResult
-from repro.obs import batch_disabled, cycle_skip_disabled
+from repro.obs import cycle_skip_disabled
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.workloads.gpu_generator import OP_FMA, OP_MEM, KernelTrace
 
@@ -229,9 +229,7 @@ def run_cu_batch(
         i for i, (cfg, tr) in enumerate(cells) if _vector_eligible(cfg, tr)
     ]
     use_vector = (
-        len(vector_idx) >= MIN_VECTOR_CELLS
-        and not cycle_skip_disabled()
-        and not batch_disabled()
+        len(vector_idx) >= MIN_VECTOR_CELLS and not cycle_skip_disabled()
     )
     if use_vector:
         vec_outcomes = _run_vectorized([cells[i] for i in vector_idx])

@@ -77,19 +77,6 @@ def cycle_skip_disabled() -> bool:
     return _env_flag("REPRO_NO_CYCLE_SKIP")
 
 
-def batch_disabled() -> bool:
-    """``REPRO_NO_BATCH`` escape hatch for batched/SoA execution.
-
-    When set, the sweep tier runs one cell at a time through the scalar
-    engines (no multi-cell lockstep batches) and
-    :class:`repro.cpu.core.OutOfOrderCore` rebuilds its per-run hot lists
-    instead of consuming the cached structure-of-arrays trace decode --
-    i.e. it restores the PR 5 single-cell fast path exactly.  Read per
-    call (not cached at import) so tests can toggle it.
-    """
-    return _env_flag("REPRO_NO_BATCH")
-
-
 from repro.obs.metrics import (  # noqa: E402  (flag must exist first)
     Counter,
     Gauge,

@@ -203,10 +203,11 @@ class SweepTelemetry:
     ) -> None:
         """Account one batched-engine invocation.
 
-        A batch is one :func:`~repro.core.simulate.simulate_gpu_batch` /
-        ``simulate_cpu_batch`` call covering many sweep cells -- either
-        the in-process batched sweep path or one pool worker's cell
-        batch.  ``vectorized`` counts the cells the lockstep engine
+        A batch is one :func:`~repro.experiments.runner.simulate_cells`
+        call covering one or more sweep cells -- either one in-process
+        run or one pool worker's cell batch.  Unlike lookups it fires
+        no progress event, so a one-cell run notifies exactly once.
+        ``vectorized`` counts the cells the lockstep engine
         produced (batch occupancy = vectorized / cells);
         ``skipped_cycles`` are the idle cycles the engines' event-driven
         skip jumped over (skip rate = skipped / (cycles + skipped)).
@@ -234,16 +235,6 @@ class SweepTelemetry:
         )
         scope.gauge("batch.last_ips").set(
             instructions / wall_s if wall_s > 0 else 0.0
-        )
-        self._fire(
-            {
-                "kind": kind,
-                "event": "batch",
-                "cells": cells,
-                "vectorized": vectorized,
-                "wall_s": wall_s,
-                "instructions": instructions,
-            }
         )
 
     def batch_counts(self) -> "dict[str, float]":

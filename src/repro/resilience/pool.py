@@ -10,7 +10,7 @@ sweep.  :class:`SweepPool` removes both failure classes by running each
 * **hard timeouts** -- an attempt that exceeds ``policy.timeout_s`` is
   SIGKILLed and reaped; no abandoned zombies keep burning CPU;
 * **crash containment** -- a worker that dies (nonzero exit, signal,
-  ``kill -9``, lost heartbeat) costs one attempt of one cell, mapped onto
+  ``kill -9``, lost heartbeat) costs one attempt of its cells, mapped onto
   the existing :class:`~repro.resilience.errors.RunFailure` taxonomy
   (``timeout`` / ``crash``);
 * **bounded requeue** -- failed attempts re-enter the queue until
@@ -31,21 +31,25 @@ attempt, so the supervisor's SIGKILL is always safe.  Worker processes
 are spawned from a bounded pool of ``workers`` slots; cells queue until
 a slot frees.
 
-Cell batches: with ``batch_cells > 1`` first attempts hand each worker a
-*batch* of cells, executed through the batched engine drivers
-(:func:`repro.core.simulate.simulate_gpu_batch` and friends) with one
-terminal per-cell reply each -- amortising process start-up, trace
-decode, and the lockstep GPU engine across the batch.  Results still
-merge in task-submission order, so batched, serial, and ``--workers N``
-sweeps produce byte-identical reports.  The attempt's wall-clock budget
-scales with the batch size; a failed cell inside a healthy batch costs
-only itself (one per-cell ``fail`` entry), while a dead or hung worker
-costs every batch cell one attempt -- and every retry runs alone, so the
-retry/backoff budget stays per cell.
+Cell batches: every attempt hands its worker a *batch* of cells,
+executed through the batched engine drivers
+(:func:`repro.experiments.runner.simulate_cells`) with one terminal
+per-cell reply each -- amortising process start-up, trace decode, and
+the lockstep GPU engine across the batch.  First attempts split the
+tasks evenly across the worker slots, at most :data:`POOL_BATCH_MAX`
+cells each, so parallelism is never traded away for batch depth.
+Results still merge in task-submission order, so serial and
+``--workers N`` sweeps produce byte-identical reports.  The attempt's
+wall-clock budget scales with the batch size; a failed cell inside a
+healthy batch costs only itself (one per-cell ``fail`` entry), while a
+dead or hung worker costs every batch cell one attempt -- and every
+retry runs alone (a batch of one), so the retry/backoff budget stays
+per cell.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import shutil
@@ -69,6 +73,11 @@ from repro.resilience.worker import worker_main
 #: Supervisor loop responsiveness bounds (seconds).
 _MIN_WAIT_S = 0.01
 _MAX_WAIT_S = 0.25
+
+#: Largest cell batch handed to one worker attempt.  Bounds both the
+#: blast radius of a worker death (the whole batch requeues as single-cell
+#: attempts) and the padded array footprint of the lockstep GPU engine.
+POOL_BATCH_MAX = 16
 
 
 class PoolAborted(RuntimeError):
@@ -105,8 +114,7 @@ class CellTask:
 class _Pending:
     """A queued attempt, eligible to start at ``not_before`` (monotonic).
 
-    ``idxs`` holds the task indices this attempt executes: one for a
-    classic single-cell attempt, several for a first-attempt cell batch.
+    ``idxs`` holds the task indices this attempt executes as one batch.
     Retries always requeue as single-cell attempts, so the retry/backoff
     budget stays per cell.
     """
@@ -171,7 +179,6 @@ class SweepPool:
         instructions: int,
         warmup: int,
         workers: int = 2,
-        batch_cells: int = 1,
         mp_context=None,
         heartbeat_s: float = 0.5,
         heartbeat_timeout_s: float = 30.0,
@@ -179,17 +186,10 @@ class SweepPool:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if batch_cells < 1:
-            raise ValueError("batch_cells must be >= 1")
         self.policy = policy or GuardPolicy()
         self.instructions = instructions
         self.warmup = warmup
         self.workers = workers
-        #: Cells handed to one worker attempt.  >1 routes first attempts
-        #: through the worker's batched execution path (one engine batch
-        #: per process); the per-attempt timeout budget scales with the
-        #: batch size, and any failed or lost cell requeues *alone*.
-        self.batch_cells = batch_cells
         self.ctx = mp_context or default_mp_context()
         self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
@@ -225,13 +225,18 @@ class SweepPool:
         sidecar: "str | None" = None,
     ) -> dict:
         plan = faults.installed_plan()
-        task = batch[0]
-        spec = {
-            "run_kind": task.run_kind,
-            "config": task.config,
-            "workload": task.workload,
-            "extra": tuple(task.extra),
-            "key": task.key,
+        return {
+            "run_kind": batch[0].run_kind,
+            "cells": [
+                {
+                    "run_kind": t.run_kind,
+                    "config": t.config,
+                    "workload": t.workload,
+                    "extra": tuple(t.extra),
+                    "key": t.key,
+                }
+                for t in batch
+            ],
             "attempt": attempt,
             "instructions": self.instructions,
             "warmup": self.warmup,
@@ -248,20 +253,6 @@ class SweepPool:
             "trace": self._trace_ctx,
             "obs_sidecar": sidecar,
         }
-        if len(batch) > 1:
-            # Batched attempt: the worker runs the whole cell list through
-            # the batched engine drivers and replies per cell.
-            spec["cells"] = [
-                {
-                    "run_kind": t.run_kind,
-                    "config": t.config,
-                    "workload": t.workload,
-                    "extra": tuple(t.extra),
-                    "key": t.key,
-                }
-                for t in batch
-            ]
-        return spec
 
     def _spawn(
         self, tasks: "list[CellTask]", item: _Pending, env: dict
@@ -417,7 +408,10 @@ class SweepPool:
                     traces=len(self._shm_meta["entries"]),
                 )
 
-        batch = max(1, int(self.batch_cells))
+        # Split first attempts evenly across the worker slots.
+        batch = max(
+            1, min(POOL_BATCH_MAX, math.ceil(len(tasks) / self.workers))
+        )
         pending: "list[_Pending]" = [
             _Pending(idxs=tuple(range(i, min(i + batch, len(tasks)))), attempt=1)
             for i in range(0, len(tasks), batch)
@@ -526,29 +520,7 @@ class SweepPool:
                             live.remove(lv)
                             busy_s += time.monotonic() - lv.started
                             self._reap(lv)
-                            if msg[0] == "ok":
-                                _, result, wall = msg[:3]
-                                self._merge_obs(
-                                    lv, msg[3] if len(msg) > 3 else None
-                                )
-                                task = tasks[lv.idxs[0]]
-                                self._event(
-                                    "completed",
-                                    cell=task.cell,
-                                    attempt=lv.attempt,
-                                    run_kind=task.run_kind,
-                                    wall_s=wall,
-                                )
-                                finalise(
-                                    lv.idxs[0],
-                                    GuardOutcome(
-                                        result=result,
-                                        failure=None,
-                                        attempts=lv.attempt,
-                                        wall_s=wall,
-                                    ),
-                                )
-                            elif msg[0] == "batch":
+                            if msg[0] == "batch":
                                 # ("batch", entries, wall, stats, obs):
                                 # one terminal per-cell entry each, in
                                 # task order within the batch.
@@ -596,10 +568,9 @@ class SweepPool:
                                 self._merge_obs(
                                     lv, msg[5] if len(msg) > 5 else None
                                 )
-                                # A whole-attempt failure from a batched
-                                # worker (batch setup died before the
-                                # per-cell loop) costs every cell of the
-                                # batch this one attempt.
+                                # A whole-attempt failure (the worker
+                                # died before its per-cell loop) costs
+                                # every cell of the batch this attempt.
                                 for idx in lv.idxs:
                                     retry_or_fail(
                                         idx, lv.attempt, kind, message,

@@ -1,8 +1,9 @@
 """Worker-process entrypoint for the process-isolated sweep executor.
 
-One worker process executes exactly **one attempt of one sweep cell** and
-exits.  All policy -- timeouts, retries, backoff -- lives in the parent's
-supervisor (:mod:`repro.resilience.pool`); keeping the worker
+One worker process executes exactly **one attempt of one batch of sweep
+cells** (a single cell is a batch of one) and exits.  All policy --
+timeouts, retries, backoff -- lives in the parent's supervisor
+(:mod:`repro.resilience.pool`); keeping the worker
 single-attempt means a SIGKILL from the supervisor can never strand
 partial retry state, and a hard crash (segfault, OOM kill, injected
 ``die`` fault) costs one attempt, not a pool.
@@ -13,19 +14,19 @@ killed worker can never poison a lock shared with its siblings):
 * ``("hb",)`` -- heartbeat, sent every ``spec["heartbeat_s"]`` seconds
   from a daemon thread; the supervisor SIGKILLs workers whose heartbeats
   stop (a wedged-but-alive process);
-* ``("ok", result, wall_s, obs)`` -- the attempt succeeded and passed
-  the end-of-run self-checks; ``result`` is the pickled run result;
+* ``("batch", entries, wall_s, stats, obs)`` -- the attempt over
+  ``spec["cells"]`` finished; ``entries`` holds one terminal per-cell
+  tuple each in cell order: ``("ok", result, wall_s)`` for a cell that
+  passed the end-of-run self-checks (``result`` is the pickled run
+  result), or ``("fail", kind, message, traceback, wall_s)`` for one
+  that raised (``kind`` is ``corrupt`` for self-check rejections, else
+  ``crash``); ``stats`` holds the engine aggregates (cells, vectorized,
+  instructions, cycles, skipped_cycles, wall_s) the coordinator's batch
+  telemetry consumes;
 * ``("fail", kind, message, traceback, wall_s, obs)`` -- the attempt
-  raised; ``kind`` is ``corrupt`` for self-check rejections, else
-  ``crash``.  Timeouts never originate here: the supervisor kills
+  raised outside the per-cell loop; it costs every cell of the batch
+  one attempt.  Timeouts never originate here: the supervisor kills
   overrunners.
-* ``("batch", entries, wall_s, stats, obs)`` -- a batched attempt
-  (``spec["cells"]`` present) finished; ``entries`` holds one terminal
-  per-cell tuple each (``("ok", result, wall_s)`` or
-  ``("fail", kind, message, traceback, wall_s)``) in cell order, and
-  ``stats`` the engine aggregates (cells, vectorized, instructions,
-  cycles, skipped_cycles, wall_s) the coordinator's batch telemetry
-  consumes.
 
 The trailing ``obs`` element is the worker's telemetry freight: ``None``
 while observability is off (zero overhead), else a dict carrying the
@@ -61,103 +62,38 @@ from repro.resilience.errors import CorruptResult
 from repro.resilience.selfcheck import validate_result
 
 
-def execute_cell(
-    run_kind: str,
-    config: str,
-    workload: str,
-    extra: tuple,
-    instructions: int,
-    warmup: int,
-):
-    """Run one (config, workload) cell directly against the simulators.
-
-    Mirrors the :class:`~repro.experiments.runner.SweepRunner` execute
-    closures exactly (same call shape, same sizing), so a cell computed in
-    a worker process is bit-identical to one computed in-process.
-    """
-    from repro.core.configs import cpu_config, gpu_config
-    from repro.core.simulate import simulate_cpu, simulate_gpu
-
-    if run_kind == "cpu":
-        return simulate_cpu(
-            cpu_config(config), workload, instructions=instructions, warmup=warmup
-        )
-    if run_kind == "gpu":
-        return simulate_gpu(gpu_config(config), workload)
-    if run_kind == "dvfs":
-        from repro.core.dvfs import HetCoreDvfs
-
-        freq_ghz, variation = extra
-        return HetCoreDvfs().simulate_at(
-            cpu_config(config),
-            workload,
-            freq_ghz,
-            variation=variation,
-            instructions=instructions,
-            warmup=warmup,
-        )
-    raise ValueError(f"unknown run kind {run_kind!r}")
-
-
 def execute_batch(cells: "list[dict]", instructions: int, warmup: int):
-    """Run one worker attempt's cell batch through the batched drivers.
+    """Run one worker attempt's cells through the runner's batch driver.
 
     Returns per-cell outcome objects (``result``/``error``) in cell
-    order.  CPU and GPU batches route through
-    :func:`repro.core.simulate.simulate_cpu_batch` /
-    ``simulate_gpu_batch`` (the GPU cells in SIMT lockstep); anything
-    else executes sequentially with the same per-cell containment.  A
-    cell whose configuration fails to resolve gets its error recorded
-    without taking the batch down -- names are validated coordinator-side,
-    so this is a belt-and-braces path.
+    order, computed by :func:`repro.experiments.runner.simulate_cells`
+    -- the same call an in-process sweep makes, so a cell computed in a
+    worker process is bit-identical to one computed in-process.  A cell
+    whose configuration fails to resolve gets its error recorded without
+    taking the batch down -- names are validated coordinator-side, so
+    this is a belt-and-braces path.
     """
     from repro.core.configs import cpu_config, gpu_config
-    from repro.core.simulate import (
-        CpuCellOutcome,
-        simulate_cpu_batch,
-        simulate_gpu_batch,
-    )
+    from repro.core.simulate import CpuCellOutcome
+    from repro.experiments.runner import simulate_cells
 
     kind = cells[0]["run_kind"]
-    if kind in ("cpu", "gpu"):
-        lookup = gpu_config if kind == "gpu" else cpu_config
-        designs = []
-        outcomes: "list" = [None] * len(cells)
-        for i, cell in enumerate(cells):
-            try:
-                designs.append(lookup(cell["config"]))
-            except Exception as exc:
-                designs.append(None)
-                outcomes[i] = CpuCellOutcome(result=None, error=exc)
-        batch = [
-            (design, cell["workload"])
-            for design, cell in zip(designs, cells)
-            if design is not None
-        ]
-        if kind == "gpu":
-            ready = iter(simulate_gpu_batch(batch))
-        else:
-            ready = iter(
-                simulate_cpu_batch(
-                    batch, instructions=instructions, warmup=warmup
-                )
-            )
-        for i, design in enumerate(designs):
-            if design is not None:
-                outcomes[i] = next(ready)
-        return outcomes
-    results = []
-    for cell in cells:
+    lookup = gpu_config if kind == "gpu" else cpu_config
+    outcomes: "list" = [None] * len(cells)
+    batch, slots = [], []
+    for i, cell in enumerate(cells):
         try:
-            result = execute_cell(
-                cell["run_kind"], cell["config"], cell["workload"],
-                tuple(cell["extra"]), instructions, warmup,
-            )
+            design = lookup(cell["config"])
         except Exception as exc:
-            results.append(CpuCellOutcome(result=None, error=exc))
-        else:
-            results.append(CpuCellOutcome(result=result, error=None))
-    return results
+            outcomes[i] = CpuCellOutcome(result=None, error=exc)
+            continue
+        batch.append((design, cell["workload"], tuple(cell["extra"])))
+        slots.append(i)
+    if batch:
+        ready = simulate_cells(kind, batch, instructions, warmup)
+        for i, out in zip(slots, ready):
+            outcomes[i] = out
+    return outcomes
 
 
 def _batch_stats(kind: str, outcomes, wall_s: float) -> dict:
@@ -203,7 +139,7 @@ def _start_heartbeat(conn, lock: threading.Lock, interval_s: float):
 
 
 def worker_main(conn, spec: dict) -> None:
-    """Process entrypoint: run one attempt of one cell, report, exit."""
+    """Process entrypoint: run one attempt of one cell batch, report, exit."""
     import os
 
     # Propagate the parent's sweep-shaping environment (REPRO_FAULTS*,
@@ -224,7 +160,8 @@ def worker_main(conn, spec: dict) -> None:
         shm_transport.attach_traces(shm_meta)
 
     # Reconstruct fault state from the spec, never from inherited process
-    # state, then draw for exactly the attempt the supervisor assigned.
+    # state; each cell below draws for exactly the attempt the supervisor
+    # assigned.
     faults.reset()
     plan = spec.get("fault_plan")
     injector = (
@@ -232,9 +169,6 @@ def worker_main(conn, spec: dict) -> None:
         if plan is not None
         else faults.active()
     )
-    key = tuple(spec["key"])
-    if injector is not None:
-        injector.prime(spec["run_kind"], key, spec["attempt"])
 
     # Observability: the spec says explicitly whether the coordinator had
     # it on (the flag may have been set programmatically, which a spawn
@@ -270,127 +204,78 @@ def worker_main(conn, spec: dict) -> None:
             wlog.activate(trace_ctx.get("trace_id"), trace_ctx.get("span_id"))
         )
 
-    cells = spec.get("cells")
+    cells = spec["cells"]
     try:
-        if cells:
-            # Batched attempt: one engine batch, then each cell replayed
-            # through its own injector draw + self-check so failures
-            # stay per cell (an injected raise or a corrupt result costs
-            # exactly the cell it hit).
-            with span_stack:
-                if wlog is not None:
-                    span_stack.enter_context(
-                        wlog.span(
-                            "worker.batch",
-                            cells=len(cells),
-                            run_kind=spec["run_kind"],
-                            attempt=spec["attempt"],
-                        )
-                    )
-                engine_start = time.perf_counter()
-                if wlog is not None:
-                    with wlog.span(
-                        "engine.batch",
-                        run_kind=spec["run_kind"],
+        # One engine batch, then each cell replayed through its own
+        # injector draw + self-check so failures stay per cell (an
+        # injected raise or a corrupt result costs exactly the cell it
+        # hit).
+        with span_stack:
+            if wlog is not None:
+                span_stack.enter_context(
+                    wlog.span(
+                        "worker.attempt",
                         cells=len(cells),
-                    ):
-                        outcomes = execute_batch(
-                            cells, spec["instructions"], spec["warmup"]
-                        )
-                else:
-                    outcomes = execute_batch(
-                        cells, spec["instructions"], spec["warmup"]
-                    )
-                engine_wall = time.perf_counter() - engine_start
-                share = engine_wall / len(cells)
-                entries = []
-                for cell, out in zip(cells, outcomes):
-                    cell_start = time.perf_counter()
-                    cell_key = tuple(cell["key"])
-                    if injector is not None:
-                        injector.prime(
-                            cell["run_kind"], cell_key, spec["attempt"]
-                        )
-
-                    def replay(out=out):
-                        if out.error is not None:
-                            raise out.error
-                        return out.result
-
-                    try:
-                        if injector is not None:
-                            result = injector.call(
-                                cell["run_kind"], cell_key, replay
-                            )
-                        else:
-                            result = replay()
-                        validate_result(cell["run_kind"], result)
-                    except Exception as exc:
-                        kind = (
-                            "corrupt"
-                            if isinstance(exc, CorruptResult)
-                            else "crash"
-                        )
-                        entries.append((
-                            "fail",
-                            kind,
-                            f"{type(exc).__name__}: {exc}",
-                            tb_module.format_exc(),
-                            share + time.perf_counter() - cell_start,
-                        ))
-                    else:
-                        entries.append((
-                            "ok",
-                            result,
-                            share + time.perf_counter() - cell_start,
-                        ))
-            message = (
-                "batch",
-                entries,
-                time.perf_counter() - start,
-                _batch_stats(spec["run_kind"], outcomes, engine_wall),
-                _obs_payload(wlog, base_state),
-            )
-        else:
-            def execute():
-                inner = execute_cell
-                if wlog is not None:
-                    with wlog.span(
-                        "engine.run",
                         run_kind=spec["run_kind"],
-                        config=spec["config"],
-                        workload=spec["workload"],
-                    ):
-                        return inner(
-                            spec["run_kind"], spec["config"], spec["workload"],
-                            tuple(spec.get("extra", ())),
-                            spec["instructions"], spec["warmup"],
-                        )
-                return inner(
-                    spec["run_kind"], spec["config"], spec["workload"],
-                    tuple(spec.get("extra", ())),
-                    spec["instructions"], spec["warmup"],
-                )
-
-            with span_stack:
-                if wlog is not None:
-                    span_stack.enter_context(
-                        wlog.span(
-                            "worker.attempt",
-                            cell=list(key),
-                            run_kind=spec["run_kind"],
-                            attempt=spec["attempt"],
-                        )
+                        attempt=spec["attempt"],
                     )
-                if injector is not None:
-                    result = injector.call(spec["run_kind"], key, execute)
-                else:
-                    result = execute()
-                validate_result(spec["run_kind"], result)
-            message = (
-                "ok", result, time.perf_counter() - start,
-                _obs_payload(wlog, base_state),
+                )
+            engine_start = time.perf_counter()
+            engine_span = (
+                wlog.span(
+                    "engine.run", run_kind=spec["run_kind"], cells=len(cells)
+                )
+                if wlog is not None
+                else contextlib.nullcontext()
             )
+            with engine_span:
+                outcomes = execute_batch(
+                    cells, spec["instructions"], spec["warmup"]
+                )
+            engine_wall = time.perf_counter() - engine_start
+            share = engine_wall / len(cells)
+            entries = []
+            for cell, out in zip(cells, outcomes):
+                cell_start = time.perf_counter()
+                cell_key = tuple(cell["key"])
+                if injector is not None:
+                    injector.prime(cell["run_kind"], cell_key, spec["attempt"])
+
+                def replay(out=out):
+                    if out.error is not None:
+                        raise out.error
+                    return out.result
+
+                try:
+                    if injector is not None:
+                        result = injector.call(
+                            cell["run_kind"], cell_key, replay
+                        )
+                    else:
+                        result = replay()
+                    validate_result(cell["run_kind"], result)
+                except Exception as exc:
+                    kind = (
+                        "corrupt" if isinstance(exc, CorruptResult) else "crash"
+                    )
+                    entries.append((
+                        "fail",
+                        kind,
+                        f"{type(exc).__name__}: {exc}",
+                        tb_module.format_exc(),
+                        share + time.perf_counter() - cell_start,
+                    ))
+                else:
+                    entries.append((
+                        "ok", result, share + time.perf_counter() - cell_start,
+                    ))
+        message = (
+            "batch",
+            entries,
+            time.perf_counter() - start,
+            _batch_stats(spec["run_kind"], outcomes, engine_wall),
+            _obs_payload(wlog, base_state),
+        )
     except BaseException as exc:
         kind = "corrupt" if isinstance(exc, CorruptResult) else "crash"
         message = (

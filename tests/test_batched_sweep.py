@@ -1,18 +1,22 @@
 """Batched sweep execution: "faster, never different" at matrix scale.
 
 The batched drivers (``simulate_cpu_batch`` / ``simulate_gpu_batch``),
-the runner's serial batch path, and the process pool's cell batches must
-all produce results byte-identical to the single-cell paths -- across
-the full paper matrix, under hypothesis-generated random batches, and
-with per-cell fault containment: one poisoned cell inside a batch
-degrades to a recorded :class:`RunFailure` gap while its siblings
-complete.
+the runner's batch path, and the process pool's cell batches must all
+produce results byte-identical to the per-cell drivers and the
+``REPRO_NO_CYCLE_SKIP=1`` reference walk -- across the full paper
+matrix (pinned to committed golden digests), under hypothesis-generated
+random batches, and with per-cell fault containment: one poisoned cell
+inside a batch degrades to a recorded :class:`RunFailure` gap while its
+siblings complete.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -36,13 +40,15 @@ from repro.obs.events import get_event_log
 from repro.obs.metrics import get_registry
 from repro.obs.top import render_dashboard
 from repro.resilience import GuardPolicy, faults
-from repro.resilience.errors import FAILURE_KINDS
+from repro.resilience.errors import FAILURE_KINDS, SweepError
+from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.resilience.guard import zombie_thread_count
 from repro.resilience.pool import CellTask, SweepPool
 from repro.workloads import CPU_APPS
 from repro.workloads.gpu_profiles import GPU_KERNELS
 
 HATCH_SKIP = "REPRO_NO_CYCLE_SKIP"
-HATCH_BATCH = "REPRO_NO_BATCH"
+GOLDEN = pathlib.Path(__file__).with_name("paper_matrix_digests.json")
 
 
 @pytest.fixture(autouse=True)
@@ -61,38 +67,41 @@ def _canon(run) -> str:
 
 
 # ---------------------------------------------------------------------
-# full paper matrix: batched == unbatched-fast == legacy
+# full paper matrix: batched == legacy == golden
 # ---------------------------------------------------------------------
 
 def test_full_paper_matrix_identical_across_engine_paths(monkeypatch):
     """Every cell of the paper's CPU and GPU matrices serialises
-    byte-identically on all three engine paths (at reduced sizes)."""
+    byte-identically on the batched drivers and the per-cell
+    ``REPRO_NO_CYCLE_SKIP=1`` reference walk (at reduced sizes), and
+    hashes to its committed golden digest."""
+    golden = json.loads(GOLDEN.read_text())
+    instructions, warmup = golden["cpu_instructions"], golden["cpu_warmup"]
     cpu_cells = [(cpu_config(c), a) for c in CPU_MAIN_CONFIGS for a in CPU_APPS]
     gpu_cells = [(gpu_config(c), k) for c in GPU_MAIN_CONFIGS for k in GPU_KERNELS]
     names = [f"cpu/{c}/{a}" for c in CPU_MAIN_CONFIGS for a in CPU_APPS] + [
         f"gpu/{c}/{k}" for c in GPU_MAIN_CONFIGS for k in GPU_KERNELS
     ]
+    assert sorted(names) == sorted(golden["cells"])
 
     monkeypatch.delenv(HATCH_SKIP, raising=False)
-    monkeypatch.delenv(HATCH_BATCH, raising=False)
     batched = [
         _canon(o.result)
-        for o in simulate_cpu_batch(cpu_cells, instructions=1000, warmup=250)
+        for o in simulate_cpu_batch(
+            cpu_cells, instructions=instructions, warmup=warmup
+        )
     ] + [_canon(o.result) for o in simulate_gpu_batch(gpu_cells)]
 
-    def unbatched_cells() -> "list[str]":
-        return [
-            _canon(simulate_cpu(d, a, instructions=1000, warmup=250))
-            for d, a in cpu_cells
-        ] + [_canon(simulate_gpu(d, k)) for d, k in gpu_cells]
-
-    monkeypatch.setenv(HATCH_BATCH, "1")
-    fast = unbatched_cells()
     monkeypatch.setenv(HATCH_SKIP, "1")
-    legacy = unbatched_cells()
+    legacy = [
+        _canon(simulate_cpu(d, a, instructions=instructions, warmup=warmup))
+        for d, a in cpu_cells
+    ] + [_canon(simulate_gpu(d, k)) for d, k in gpu_cells]
 
-    for name, b, f, l in zip(names, batched, fast, legacy):
-        assert b == f == l, f"engine paths disagree on {name}"
+    for name, b, l in zip(names, batched, legacy):
+        assert b == l, f"engine paths disagree on {name}"
+        digest = hashlib.sha256(b.encode("utf-8")).hexdigest()
+        assert digest == golden["cells"][name], f"{name} drifted from golden"
 
 
 # ---------------------------------------------------------------------
@@ -151,35 +160,6 @@ def test_property_gpu_batch_equals_serial(cells, seed):
 # runner + pool: batching is invisible in the results
 # ---------------------------------------------------------------------
 
-def _sweep_doc() -> str:
-    runner = SweepRunner(
-        SweepSettings(instructions=2_000, apps=["lu", "fft"], kernels=["DCT"])
-    )
-    cpu = runner.cpu_sweep(["BaseCMOS", "AdvHet"])
-    gpu = runner.gpu_sweep(["BaseCMOS"])
-    doc = {
-        f"cpu/{c}/{a}": dataclasses.asdict(run)
-        for c, row in cpu.items()
-        for a, run in row.items()
-    }
-    doc.update(
-        {
-            f"gpu/{c}/{k}": dataclasses.asdict(run)
-            for c, row in gpu.items()
-            for k, run in row.items()
-        }
-    )
-    return json.dumps(doc, sort_keys=True, default=str)
-
-
-def test_runner_sweeps_identical_with_batching_disabled(monkeypatch):
-    """``REPRO_NO_BATCH=1`` restores the single-cell path bit-for-bit."""
-    monkeypatch.delenv(HATCH_BATCH, raising=False)
-    batched = _sweep_doc()
-    monkeypatch.setenv(HATCH_BATCH, "1")
-    assert batched == _sweep_doc()
-
-
 def test_pool_cell_batches_match_single_cell_outcomes():
     """Worker-executed cell batches merge task-ordered and byte-equal the
     direct per-cell simulations."""
@@ -194,7 +174,6 @@ def test_pool_cell_batches_match_single_cell_outcomes():
         instructions=2_000,
         warmup=500,
         workers=2,
-        batch_cells=2,
         on_event=lambda e, i: events.append((e, i)),
     )
     outcomes = pool.run(tasks)
@@ -260,6 +239,53 @@ def test_seeded_env_faults_mid_batch_map_onto_taxonomy(monkeypatch):
         assert failure.kind in FAILURE_KINDS
         assert failure.run_kind == "cpu"
     assert runner.telemetry.batch_counts()["cells"] == len(cells)
+
+
+def test_retry_after_corrupt_fault_reruns_the_cell():
+    """A ``corrupt`` fault spoils its attempt's result in place, so a
+    retry must re-run the cell, not replay the spoiled batch result.
+    BaseCMOS/lu draws corrupt, corrupt, clean under this seeded plan."""
+    faults.install(FaultInjector(FaultPlan(corrupt_p=0.5, seed=0)))
+    runner = SweepRunner(
+        SweepSettings(instructions=2_000, apps=["lu"], kernels=["DCT"]),
+        policy=GuardPolicy(max_retries=3, backoff_base_s=0.0, jitter=0.0),
+    )
+    results = runner.cpu_sweep(["BaseCMOS"])
+    assert results["BaseCMOS"]["lu"] is not None
+    assert runner.failures == {}
+    assert runner.telemetry.retry_counts()["cpu"] == 2
+
+
+def test_timed_out_batch_is_a_timeout_gap(monkeypatch):
+    """The policy timeout covers the engine batch of a sweep (scaled to
+    the batch), exactly as it covers a strict single-cell run."""
+    import repro.experiments.runner as runner_mod
+
+    def slow_batch(*args, **kwargs):
+        time.sleep(1.0)
+        return simulate_cpu_batch(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "simulate_cpu_batch", slow_batch)
+    settings = SweepSettings(instructions=2_000, apps=["lu"], kernels=["DCT"])
+    policy = GuardPolicy(
+        timeout_s=0.2, max_retries=0, backoff_base_s=0.0, jitter=0.0
+    )
+
+    runner = SweepRunner(settings, policy=policy)
+    with pytest.warns(RuntimeWarning, match="zombie"):
+        results = runner.cpu_sweep(["BaseCMOS"])
+    assert results["BaseCMOS"]["lu"] is None
+    failure = runner.failures[("cpu", "BaseCMOS", "lu")]
+    assert (failure.kind, failure.attempts) == ("timeout", 1)
+
+    with pytest.warns(RuntimeWarning, match="zombie"):
+        with pytest.raises(SweepError) as raised:
+            SweepRunner(settings, policy=policy).cpu_run("BaseCMOS", "lu")
+    assert raised.value.failure.kind == "timeout"
+    # Let the abandoned attempts finish so they warn no later test.
+    deadline = time.monotonic() + 30.0
+    while zombie_thread_count() and time.monotonic() < deadline:
+        time.sleep(0.05)
 
 
 # ---------------------------------------------------------------------

@@ -160,14 +160,14 @@ def test_result_dataclasses_hold_native_scalars_only(monkeypatch):
 def test_soa_buffers_hold_native_scalars_only():
     """The cached SoA decode must hand the hot loop plain Python lists of
     native scalars -- one boxed numpy value re-boxes every downstream op."""
-    from repro.cpu.soa import decode_trace, decode_trace_uncached
+    from repro.cpu.soa import decode_trace
 
     trace = cached_trace(cpu_app("canneal"), 3000, seed=0)
-    for soa in (decode_trace(trace), decode_trace_uncached(trace)):
-        for f in dataclasses.fields(soa):
-            values = getattr(soa, f.name)
-            assert isinstance(values, list), f"soa.{f.name} is not a list"
-            _assert_native(values[:64], f"soa.{f.name}")
+    soa = decode_trace(trace)
+    for f in dataclasses.fields(soa):
+        values = getattr(soa, f.name)
+        assert isinstance(values, list), f"soa.{f.name} is not a list"
+        _assert_native(values[:64], f"soa.{f.name}")
     assert decode_trace(trace) is decode_trace(trace)  # memoised on the trace
 
 

@@ -121,7 +121,7 @@ def test_store_hit_serves_without_engine_invocation(store_root, monkeypatch):
         raise AssertionError("cycle engine invoked on a store hit")
 
     import repro.experiments.runner as runner_mod
-    monkeypatch.setattr(runner_mod, "simulate_cpu", forbidden)
+    monkeypatch.setattr(runner_mod, "simulate_cpu_batch", forbidden)
 
     second = make_runner(store=store_root)  # fresh process-equivalent
     served = second.cpu_run("BaseCMOS", "lu")
