@@ -109,7 +109,7 @@ from repro.experiments.report import (
     stall_breakdown_table,
 )
 from repro.experiments.runner import SweepRunner, SweepSettings
-from repro.resilience import GuardPolicy, SweepError
+from repro.resilience import GuardPolicy, SweepError, faults
 from repro.obs.stats import collect_cpu_stats, collect_gpu_stats, format_stats
 from repro.obs.trace import PipelineTracer
 from repro.workloads import CPU_APPS, GPU_KERNELS
@@ -1499,6 +1499,14 @@ def main(argv: "list[str] | None" = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        # A bad REPRO_*FAULTS* value is a usage error up front, not a
+        # crash recorded against the first cell, frame or write.
+        for domain in faults.DOMAINS:
+            faults.active(domain)
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "list": _cmd_list,
         "exhibit": _cmd_exhibit,

@@ -55,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import threading
 import time
 import warnings
@@ -184,6 +185,30 @@ def _unwrap(outcome):
     return outcome.result
 
 
+def faulted_attempt(injector, run_kind: str, key: tuple, fn: Callable[[], object]):
+    """One cell attempt through the ``run`` fault schedule.
+
+    ``fail`` raises :class:`~repro.resilience.faults.InjectedFault`;
+    ``hang`` sleeps the plan's ``hang_s`` first (so a guard timeout
+    fires); ``die`` SIGKILLs this process, the hard crash only process
+    isolation contains; ``corrupt`` runs ``fn`` and NaNs ``time_s`` for
+    the self-check to reject.  Both the in-process runner and the pool
+    worker call this, keyed on the attempt the draw counts (or the
+    worker primed).
+    """
+    kind = injector.draw(run_kind, key)
+    if kind == "fail":
+        raise faults.InjectedFault(f"injected crash at {run_kind} cell {key!r}")
+    if kind == "hang":
+        injector.sleep(injector.plan.hang_s)
+    elif kind == "die":
+        os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
+    result = fn()
+    if kind == "corrupt":
+        result.time_s = float("nan")
+    return result
+
+
 def _resolve_isolation(workers: int, isolation: "str | None") -> str:
     """Default ``isolation`` from ``workers`` and reject bad combinations."""
     if workers < 1:
@@ -234,6 +259,9 @@ class SweepRunner:
     ):
         self.settings = settings or SweepSettings()
         self.policy = policy or GuardPolicy()
+        # Parse REPRO_FAULTS* now: a bad value is the caller's error,
+        # not a crash recorded against every cell's first attempt.
+        faults.active("run")
         self.telemetry = SweepTelemetry()
         if progress is not None:
             self.telemetry.on_progress(progress)
@@ -410,11 +438,11 @@ class SweepRunner:
         ))
 
     def _execute(self, run_kind: str, key: tuple, fn: Callable[[], object]):
-        """One execution attempt, routed through the fault injector."""
-        injector = faults.active()
+        """One execution attempt, routed through the run fault injector."""
+        injector = faults.active("run")
         if injector is None:
             return fn()
-        return injector.call(run_kind, key, fn)
+        return faulted_attempt(injector, run_kind, key, fn)
 
     def _note_zombies(self) -> None:
         """Surface abandoned (unkillable) guard threads after a timeout.
@@ -447,25 +475,32 @@ class SweepRunner:
         Every other cell is accounted for here: served from the memory
         cache or promoted from the durable store (a cache hit either
         way), or recorded as a config/workload gap -- which raises
-        instead when ``strict`` or under ``fail_fast``.
+        instead when ``strict`` or under ``fail_fast``.  A repeated
+        cell executes once; each repeat counts as the cache hit a later
+        lookup would be.
         """
         cache = self._cache_for(run_kind)
         todo: "list[tuple]" = []
+        queued: "set[tuple]" = set()
         for config_name, workload, extra in cells:
             key = (config_name, workload, *extra)
             cached = cache.get(key)
-            if cached is None:
+            if cached is None and key not in queued:
                 cached = self._store_fetch(run_kind, key)
                 if cached is not None:
                     with self._lock:
                         cache[key] = cached
                         # A durably stored success supersedes any gap.
                         self.failures.pop((run_kind, *key), None)
-            if cached is not None:
+            if cached is not None or key in queued:
+                instructions = (
+                    0 if cached is None
+                    else self._instructions_of(run_kind, cached)
+                )
                 with self._lock:
                     self.telemetry.record_run(
-                        run_kind, config_name, workload, 0.0,
-                        self._instructions_of(run_kind, cached), cached=True,
+                        run_kind, config_name, workload, 0.0, instructions,
+                        cached=True,
                     )
                 continue
             try:
@@ -474,6 +509,7 @@ class SweepRunner:
                 if strict or self.policy.fail_fast:
                     raise
                 continue  # recorded as a config/workload gap
+            queued.add(key)
             todo.append((key, (design, workload, tuple(extra))))
         return todo
 

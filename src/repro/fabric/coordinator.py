@@ -209,7 +209,7 @@ class FabricCoordinator:
 
     # -- helpers -------------------------------------------------------
     def _injector(self):
-        return faults.active_network()
+        return faults.active("net")
 
     async def _send(self, node: NodeClient, message: dict) -> None:
         try:
@@ -638,28 +638,25 @@ class FabricCoordinator:
             self._drain_event.set()
         self._opened_at = self._clock()
 
-        # Cells already satisfied by the runner's caches (a resumed
-        # checkpoint) or by the durable result store are cache hits,
-        # exactly as in a local sweep; the rest must be validated
-        # before they travel.
+        # The runner accounts for every cell exactly as in a local
+        # sweep: cache and store hits are done, bad names are recorded
+        # gaps, and only the cells it leaves over travel.
+        by_kind: "dict[str, list[tuple]]" = {}
         for cell in self.cells:
-            run_kind, config_name, workload = cell[0], cell[1], cell[2]
-            key = (config_name, workload, *cell[3:])
-            cached = self.runner.lookup_cached(run_kind, key)
-            if cached is not None:
-                self.runner.telemetry.record_run(
-                    run_kind, config_name, workload, 0.0,
-                    self.runner._instructions_of(run_kind, cached),
-                    cached=True,
+            by_kind.setdefault(cell[0], []).append(cell)
+        for run_kind, group in by_kind.items():
+            todo = {
+                key for key, _ in self.runner._missing(
+                    run_kind, [(c[1], c[2], c[3:]) for c in group]
                 )
-                self.done.add(cell)
-                continue
-            try:
-                self.runner._validated(run_kind, config_name, workload)
-            except KeyError:
-                continue  # recorded as a config/workload gap
-            self.remaining.add(cell)
-            self.pending.append(cell)
+            }
+            cache = self.runner._cache_for(run_kind)
+            for cell in group:
+                if cell[1:] in todo:
+                    self.remaining.add(cell)
+                    self.pending.append(cell)
+                elif cell[1:] in cache:
+                    self.done.add(cell)
         self._sort_pending()
 
         server = await asyncio.start_server(

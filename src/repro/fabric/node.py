@@ -310,7 +310,7 @@ class FabricNode:
         return FrameSocket(
             sock,
             site=f"{self.name}->coordinator",
-            injector=faults.active_network(),
+            injector=faults.active("net"),
         )
 
     def _session(self, transport: FrameSocket) -> None:

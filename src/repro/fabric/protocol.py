@@ -30,10 +30,11 @@ coordinator -> node:
 * ``fenced``     -- the sender's session epoch is stale; reconnect.
 * ``bye``        -- sweep complete; the node may exit.
 
-Every *send* on either side routes through the seeded network fault
-injector (:func:`repro.resilience.faults.active_network`) when one is
-installed: frames may be dropped, delayed, duplicated, or caught in a
-timed partition, keyed deterministically on (seed, site, frame seq).
+Every *send* on either side routes through the seeded ``net`` fault
+injector (``repro.resilience.faults.active("net")``) when one is
+installed: :func:`delivery` turns its draw into dropped, delayed,
+duplicated, or partitioned frames, keyed deterministically on (seed,
+site, frame seq).
 
 The :class:`HashRing` at the bottom is the placement half of the
 protocol: cells are consistent-hashed on (run_kind, config, workload)
@@ -93,6 +94,23 @@ def decode_payload(payload: bytes) -> dict:
     return message
 
 
+def delivery(injector: "faults.FaultInjector | None", site: str) -> "list[float]":
+    """Per-copy delays for the next frame sent on ``site``.
+
+    ``[0.0]`` is normal delivery, ``[]`` a dropped frame (a drop, a
+    partition opening, or a frame inside an open partition window),
+    ``[delay_s]`` a delayed one and ``[0.0, 0.0]`` a duplicate.
+    """
+    kind = injector.draw(site) if injector is not None else None
+    if kind is None:
+        return [0.0]
+    if kind == "delay":
+        return [injector.plan.delay_s]
+    if kind == "dup":
+        return [0.0, 0.0]
+    return []
+
+
 class FrameSocket:
     """Blocking-socket frame transport for the synchronous node side.
 
@@ -108,7 +126,7 @@ class FrameSocket:
         sock: socket.socket,
         *,
         site: str = "link",
-        injector: "faults.NetFaultInjector | None" = None,
+        injector: "faults.FaultInjector | None" = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._sock = sock
@@ -121,11 +139,8 @@ class FrameSocket:
     def send(self, message: dict) -> None:
         """Send one frame, subject to the network fault schedule."""
         frame = encode_frame(message)
-        fates = [0.0]
-        if self._injector is not None:
-            fates = self._injector.fates(self.site)
         with self._send_lock:
-            for delay in fates:
+            for delay in delivery(self._injector, self.site):
                 if delay > 0.0:
                     self._sleep(delay)
                 self._sock.sendall(frame)
@@ -183,7 +198,7 @@ async def send_frame(
     message: dict,
     *,
     site: str = "link",
-    injector: "faults.NetFaultInjector | None" = None,
+    injector: "faults.FaultInjector | None" = None,
 ) -> None:
     """Send one frame on an asyncio stream through the fault schedule.
 
@@ -193,9 +208,7 @@ async def send_frame(
     (writer, coroutine) pair are already serialised.
     """
     frame = encode_frame(message)
-    fates = [0.0]
-    if injector is not None:
-        fates = injector.fates(site)
+    fates = delivery(injector, site)
     for delay in fates:
         if delay > 0.0:
             await asyncio.sleep(delay)

@@ -133,15 +133,12 @@ def collect_runtime_stats() -> dict:
     showed them; they are cheap plain-int reads, so they are attached
     unconditionally.
     """
-    from repro.resilience.shm import transport_enabled, transport_stats
+    from repro.resilience.shm import transport_stats
     from repro.workloads.trace_cache import shared_cache
 
     return {
         "trace_cache": shared_cache().stats(),
-        "shm_transport": {
-            "enabled": transport_enabled(),
-            **transport_stats(),
-        },
+        "shm_transport": transport_stats(),
     }
 
 

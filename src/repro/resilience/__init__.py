@@ -24,16 +24,16 @@ point, not the sweep.  This package hardens
   (ROB/RF drained, positive cycle counts, retired-instruction
   conservation) that reject corrupted measurements as ``corrupt``
   failures instead of silently wrong report rows;
-* :mod:`repro.resilience.faults` -- a seeded, env-gated fault-injection
-  harness (``REPRO_FAULTS``) that makes simulations crash, hang, return
-  corrupted results, or hard-kill their own process at configurable
-  probabilities, used to test this layer itself and exercised from CI;
+* :mod:`repro.resilience.faults` -- one seeded, env-gated fault
+  injector over three domains: cell attempts (``REPRO_FAULTS``: crash,
+  hang, corrupt result, hard-kill), wire frames (``REPRO_NET_FAULTS``)
+  and durable writes (``REPRO_DISK_FAULTS``), used to test this layer
+  itself and exercised from CI;
 * :mod:`repro.resilience.diskio` -- the single crash-consistent write
   path to disk (temp + fsync + rename + directory fsync, per-record
   checksums with quarantine-on-corruption, orphaned-temp sweeps) used
-  by checkpoints, the result store, and every snapshot writer, with
-  seeded disk faults (``REPRO_DISK_FAULTS``) injected at this one
-  choke point.
+  by checkpoints, the result store, and every snapshot writer, and the
+  one choke point where disk faults are injected.
 
 Guards live in the *runner*, not in ``simulate_cpu``/``simulate_gpu``:
 the simulators stay deterministic pure functions (the property the whole

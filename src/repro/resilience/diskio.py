@@ -129,8 +129,8 @@ def durable_write_text(path, text: str, *, site: str = "diskio") -> None:
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    injector = faults.active_disk()
-    fate = injector.fate(site) if injector is not None else None
+    injector = faults.active("disk")
+    fate = injector.draw(site) if injector is not None else None
     if fate == "eio":
         _STATS["write_failures"] += 1
         _emit("diskio.fault", site=site, kind="eio", path=str(target))

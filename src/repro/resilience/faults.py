@@ -1,77 +1,56 @@
 """Deterministic fault injection for exercising the resilience layer.
 
-The injector sits between the :class:`~repro.experiments.runner.SweepRunner`
-guard path and ``simulate_cpu`` / ``simulate_gpu``: for every execution
-attempt it draws once from a seeded RNG keyed on (seed, site, cell key,
-attempt number) and either
+One seeded injector serves three *domains*, each a row of
+:data:`DOMAINS`:
 
-* raises :class:`InjectedFault` (a ``crash`` in the taxonomy),
-* *hangs* -- sleeps ``hang_s`` before running, so a guard timeout fires
-  (or, with no timeout, the run is merely slow),
-* runs the simulation and **corrupts** the result (``time_s`` becomes
-  NaN), which the runner's sanity check rejects as ``corrupt``, or
-* **dies** -- SIGKILLs its own process, the hard-crash class (segfault,
-  OOM kill) that only the process-isolated sweep executor
-  (:mod:`repro.resilience.pool`) can contain.  Under ``isolation="thread"``
-  a die fault takes down the whole sweep, which is exactly the failure
-  mode it exists to demonstrate.
+* ``run`` -- every execution attempt of a sweep cell
+  (:meth:`~repro.experiments.runner.SweepRunner._execute` and the
+  process-pool worker) may **fail** (raise :class:`InjectedFault`, a
+  ``crash``), **hang** (sleep ``hang_s`` first, so a guard timeout
+  fires), **corrupt** (``time_s`` becomes NaN, which the self-check
+  rejects) or **die** (SIGKILL its own process, which only
+  process-isolated sweeps contain);
+* ``net`` -- every frame a fabric peer or the HTTP front door sends may
+  be **dropped**, **delayed** by ``delay_s``, **duplicated**, or open a
+  **partition**: a ``partition_s`` window during which every later frame
+  on the same site drops too;
+* ``disk`` -- every durable write
+  (:func:`repro.resilience.diskio.durable_write_text`) may fail with
+  **EIO**, fail with **ENOSPC** after a partial temp write, be **torn**
+  (half the bytes land and the rename still happens), or **lose its
+  fsync**.
 
-Because the draw is keyed on the attempt number, retries re-roll: a cell
-that crashed on attempt 1 can succeed on attempt 2, exactly the transient
-behaviour the retry path exists for.  The same seed always produces the
-same fault schedule, so CI failures reproduce locally.
+The decision is a pure function of ``(plan, site, seq)``: the injector
+counts draws per site and hashes ``(seed, *salt, *site, seq)`` with
+:func:`~repro.resilience.guard.stable_seed` into one uniform sample,
+whose position in the domain's disjoint probability bands names the
+fault (``None`` for none).  A run site is ``(run_kind, cell key)`` and
+its seq is the attempt number, so retries re-roll; a net site is a
+directional link (``"node-1->coordinator"``, ``"http.write"``) and a
+disk site an artifact family (``"checkpoint"``, ``"store"``).  Never
+keyed on PID: a pool worker *primes* its fresh injector with the
+attempt it was assigned, so a faulted parallel sweep replays the serial
+schedule, and a failing CI run replays locally with the same seed.
 
-Draws are keyed on (seed, site, cell key, attempt) -- never on PID or
-process identity -- so a parallel sweep whose attempts run in spawned
-worker processes replays byte-identically: the supervisor tells each
-worker which attempt it is executing and the worker *primes* its local
-injector (:meth:`FaultInjector.prime`) to draw for exactly that attempt.
+The injector only decides; each consumer applies its domain's effect
+(:func:`repro.experiments.runner.faulted_attempt`,
+:func:`repro.fabric.protocol.delivery`, the HTTP front door's wire
+sites, and the branches of ``durable_write_text``).
 
-Env gating (mirrors ``REPRO_OBS``)
-----------------------------------
-``REPRO_FAULTS=1`` enables injection with probabilities read from
-``REPRO_FAULTS_FAIL_P`` / ``REPRO_FAULTS_HANG_P`` /
-``REPRO_FAULTS_CORRUPT_P`` / ``REPRO_FAULTS_DIE_P`` (defaults 0), seed
-from ``REPRO_FAULTS_SEED`` (default 0), and hang duration from
-``REPRO_FAULTS_HANG_S`` (default 30s).
-Tests install an injector programmatically via :func:`install` instead.
-
-Network faults (the fabric tier)
---------------------------------
-:class:`NetFaultInjector` is the wire-level sibling used by
-:mod:`repro.fabric`: every frame a peer *sends* draws once from a seeded
-RNG keyed on (seed, site, frame sequence number) -- sites are
-directional link names like ``"node-1->coordinator"`` -- and is either
-dropped, delayed, duplicated, delivered normally, or opens a timed
-*partition* during which every subsequent frame on that site is dropped.
-The decision is a pure function of (plan, site, seq), so a failing
-chaos run replays byte-for-byte with the same seed.  Env gating uses
-``REPRO_NET_FAULTS=1`` plus ``REPRO_NET_FAULTS_DROP_P`` /
-``_DELAY_P`` / ``_DELAY_S`` / ``_DUP_P`` / ``_PARTITION_P`` /
-``_PARTITION_S`` / ``_SEED``.
-
-Disk faults (the storage tier)
-------------------------------
-:class:`DiskFaultInjector` is the storage-level sibling consumed by
-:mod:`repro.resilience.diskio`: every durable write draws once from a
-seeded RNG keyed on (seed, site, write sequence number) -- sites name
-the artifact family (``"checkpoint"``, ``"store"``, ``"health"``, ...)
--- and either fails with ``EIO``, fails with ``ENOSPC`` after a partial
-temp write, *tears* the write (half the bytes land, the rename still
-happens, and only the per-record checksum catches it on read), loses
-the fsync (the write "succeeds" but durability is gone), or proceeds
-normally.  Env gating uses ``REPRO_DISK_FAULTS=1`` plus
-``REPRO_DISK_FAULTS_EIO_P`` / ``_ENOSPC_P`` / ``_TORN_P`` /
-``_LOST_FSYNC_P`` / ``_SEED``.
+Env gating: ``REPRO_FAULTS=1`` / ``REPRO_NET_FAULTS=1`` /
+``REPRO_DISK_FAULTS=1`` enable a domain, whose parameters are read from
+``<flag>_<NAME>`` (``REPRO_FAULTS_FAIL_P``, ``REPRO_NET_FAULTS_DELAY_S``,
+``REPRO_DISK_FAULTS_SEED``, ...): probabilities default to 0, seeds to
+0, and durations to their :data:`DOMAINS` defaults.  A malformed or
+out-of-range value is a ``ValueError`` naming its variable.  Tests
+install injectors programmatically via :func:`install` instead.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.resilience.guard import stable_seed
 
@@ -80,56 +59,131 @@ class InjectedFault(RuntimeError):
     """A crash injected by the fault harness (classified as ``crash``)."""
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
+class Domain(NamedTuple):
+    """One fault domain: how it is gated, what it draws, how it salts."""
+
+    #: Enabling env flag; parameters are read from ``f"{env}_{NAME}"``.
+    env: str
+    #: Fault kinds in band order (one uniform sample, disjoint bands).
+    kinds: "tuple[str, ...]"
+    #: Duration parameters (seconds) and their defaults.
+    durations: "dict[str, float]"
+    #: Leading ``stable_seed`` parts after the seed, before the site.
+    salt: "tuple[str, ...]"
+    #: ``(kind, duration)``: drawing ``kind`` drops every later draw on
+    #: the same site for ``duration`` seconds (as ``f"{kind}_drop"``).
+    window: "tuple[str, str] | None" = None
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
+DOMAINS: "dict[str, Domain]" = {
+    "run": Domain(
+        "REPRO_FAULTS", ("fail", "hang", "corrupt", "die"),
+        {"hang_s": 30.0}, (),
+    ),
+    "net": Domain(
+        "REPRO_NET_FAULTS", ("drop", "delay", "dup", "partition"),
+        {"delay_s": 0.05, "partition_s": 2.0}, ("net",),
+        window=("partition", "partition_s"),
+    ),
+    "disk": Domain(
+        "REPRO_DISK_FAULTS", ("eio", "enospc", "torn", "lost_fsync"),
+        {}, ("disk",),
+    ),
+}
 
 
-@dataclass(frozen=True)
+_TRUE = frozenset({"1", "true", "yes", "on"})
+
+
+def _defaults(domain: str) -> dict:
+    spec = DOMAINS[domain]
+    return {**{f"{kind}_p": 0.0 for kind in spec.kinds}, **spec.durations}
+
+
+def _bands(domain: str, values: dict, name: Callable[[str], str] = str) -> tuple:
+    """The domain's ``(kind, upper bound)`` bands, in band order.
+
+    Rejects probabilities outside [0, 1], bands summing past 1 and
+    negative durations; ``name`` labels a parameter in the message.
+    """
+    for param, value in values.items():
+        if param.endswith("_p") and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name(param)} must be in [0, 1], got {value}")
+        if param.endswith("_s") and not value >= 0.0:
+            raise ValueError(f"{name(param)} must be >= 0, got {value}")
+    kinds = DOMAINS[domain].kinds
+    bands, upper = [], 0.0
+    for kind in kinds:
+        upper += values[f"{kind}_p"]
+        bands.append((kind, upper))
+    if upper > 1.0:
+        probs = ", ".join(name(f"{kind}_p") for kind in kinds)
+        raise ValueError(f"{domain} fault probabilities ({probs}) must sum to <= 1")
+    return tuple(bands)
+
+
 class FaultPlan:
-    """Per-attempt fault probabilities (disjoint: fail, then hang, then
-    corrupt, then die, drawn from one uniform sample)."""
+    """One domain's fault probabilities, durations and seed (immutable).
 
-    fail_p: float = 0.0
-    hang_p: float = 0.0
-    corrupt_p: float = 0.0
-    seed: int = 0
-    hang_s: float = 30.0
-    die_p: float = 0.0
+    ``FaultPlan("net", drop_p=0.1, seed=3)``; the domain defaults to
+    ``run``.  Parameters are ``f"{kind}_p"`` for each of the domain's
+    kinds plus its durations; each reads back as an attribute.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("fail_p", "hang_p", "corrupt_p", "die_p"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.fail_p + self.hang_p + self.corrupt_p + self.die_p > 1.0:
-            raise ValueError("fault probabilities must sum to <= 1")
+    def __init__(self, domain: str = "run", *, seed: int = 0, **params: float):
+        if domain not in DOMAINS:
+            raise ValueError(f"unknown fault domain {domain!r}")
+        values = _defaults(domain)
+        unknown = sorted(set(params) - set(values))
+        if unknown:
+            raise TypeError(f"{domain} faults take no parameter(s) {unknown}")
+        values.update(params)
+        self.__dict__.update(
+            domain=domain, seed=seed, params=values,
+            bands=_bands(domain, values),
+        )
+
+    def __getattr__(self, name: str):
+        try:
+            return self.__dict__["params"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("FaultPlan is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FaultPlan) and self.to_dict() == other.to_dict()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
+        return f"FaultPlan({self.domain!r}, seed={self.seed!r}, {args})"
 
     @classmethod
-    def from_env(cls) -> "FaultPlan":
-        return cls(
-            fail_p=_env_float("REPRO_FAULTS_FAIL_P", 0.0),
-            hang_p=_env_float("REPRO_FAULTS_HANG_P", 0.0),
-            corrupt_p=_env_float("REPRO_FAULTS_CORRUPT_P", 0.0),
-            seed=int(_env_float("REPRO_FAULTS_SEED", 0)),
-            hang_s=_env_float("REPRO_FAULTS_HANG_S", 30.0),
-            die_p=_env_float("REPRO_FAULTS_DIE_P", 0.0),
-        )
+    def from_env(cls, domain: str = "run") -> "FaultPlan":
+        """The domain's plan from ``<flag>_<NAME>`` variables."""
+        values = {**_defaults(domain), "seed": 0}
+
+        def var(param: str) -> str:
+            return f"{DOMAINS[domain].env}_{param.upper()}"
+
+        for param in values:
+            raw = os.environ.get(var(param), "").strip()
+            if raw:
+                try:
+                    number = float(raw)
+                    values[param] = int(number) if param == "seed" else number
+                except (ValueError, OverflowError):
+                    raise ValueError(
+                        f"{var(param)}={raw!r} is not a number"
+                    ) from None
+        seed = values.pop("seed")
+        _bands(domain, values, var)
+        return cls(domain, seed=seed, **values)
 
     def to_dict(self) -> dict:
         """Plain-dict form, picklable into worker processes."""
-        return {
-            "fail_p": self.fail_p,
-            "hang_p": self.hang_p,
-            "corrupt_p": self.corrupt_p,
-            "seed": self.seed,
-            "hang_s": self.hang_s,
-            "die_p": self.die_p,
-        }
+        return {"domain": self.domain, "seed": self.seed, **self.params}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
@@ -137,360 +191,110 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """Seeded, per-attempt fault decisions for sweep executions."""
+    """Seeded per-``(site, seq)`` fault decisions for one domain.
 
-    def __init__(self, plan: FaultPlan, sleep: "Callable[[float], None]" = time.sleep):
+    ``sleep`` serves the run domain's hang; ``clock`` times the net
+    domain's partition windows.
+    """
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        *,
+        sleep: Callable[[float], None] = time.sleep,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self.plan = plan
-        self._sleep = sleep
-        self._attempt_counts: "dict[tuple, int]" = {}
-        #: How many of each fault kind were actually injected.
-        self.injected = {"fail": 0, "hang": 0, "corrupt": 0, "die": 0}
+        self.sleep = sleep
+        self._clock = clock
+        self._spec = DOMAINS[plan.domain]
+        self._seq: "dict[tuple, int]" = {}
+        self._window_until: "dict[tuple, float]" = {}
+        window = self._spec.window
+        #: How many of each fault kind were drawn.
+        self.injected = dict.fromkeys(
+            self._spec.kinds + ((f"{window[0]}_drop",) if window else ()), 0
+        )
 
-    def _draw(self, site: str, key: tuple) -> float:
-        """One uniform [0, 1) sample, unique per (site, key, attempt)."""
-        cell = (site, key)
-        attempt = self._attempt_counts.get(cell, 0) + 1
-        self._attempt_counts[cell] = attempt
-        return stable_seed(self.plan.seed, site, key, attempt) / float(1 << 64)
+    def draw(self, *site) -> "str | None":
+        """The fault kind for the next event at ``site``, or None."""
+        seq = self._seq.get(site, 0) + 1
+        self._seq[site] = seq
+        window = self._spec.window
+        if window is not None:
+            now = self._clock()
+            until = self._window_until.get(site)
+            if until is not None:
+                if now < until:
+                    kind = f"{window[0]}_drop"
+                    self.injected[kind] += 1
+                    return kind
+                del self._window_until[site]
+        plan = self.plan
+        u = stable_seed(plan.seed, *self._spec.salt, *site, seq) / float(1 << 64)
+        for kind, upper in plan.bands:
+            if u < upper:
+                self.injected[kind] += 1
+                if window is not None and kind == window[0]:
+                    self._window_until[site] = now + getattr(plan, window[1])
+                return kind
+        return None
 
-    def prime(self, site: str, key: tuple, attempt: int) -> None:
-        """Make the next draw for (site, key) use ``attempt`` (1-based).
+    def prime(self, *site, attempt: int) -> None:
+        """Make the next draw at ``site`` use seq ``attempt`` (1-based).
 
-        A worker process executing a requeued attempt starts with a fresh
-        injector whose counters would otherwise restart at 1, replaying
-        attempt 1's fault forever.  The supervisor tells the worker which
-        attempt it is running; priming re-keys the draw on (cell, attempt)
-        -- never on PID -- so parallel sweeps replay deterministically.
+        A worker process executing a requeued attempt starts with a
+        fresh injector whose counters would otherwise restart at 1,
+        replaying attempt 1's fault forever.
         """
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        self._attempt_counts[(site, tuple(key))] = attempt - 1
-
-    def call(self, site: str, key: tuple, fn: Callable[[], object]):
-        """Run one execution attempt through the fault schedule."""
-        plan = self.plan
-        u = self._draw(site, key)
-        if u < plan.fail_p:
-            self.injected["fail"] += 1
-            raise InjectedFault(f"injected crash at {site} cell {key!r}")
-        if u < plan.fail_p + plan.hang_p:
-            self.injected["hang"] += 1
-            self._sleep(plan.hang_s)
-        band = plan.fail_p + plan.hang_p + plan.corrupt_p
-        if band <= u < band + plan.die_p:
-            # Hard process death: the supervisor must see a vanished
-            # worker, not an exception.  SIGKILL cannot be caught.
-            self.injected["die"] += 1
-            os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
-        result = fn()
-        if u >= plan.fail_p + plan.hang_p and (
-            u < plan.fail_p + plan.hang_p + plan.corrupt_p
-        ):
-            self.injected["corrupt"] += 1
-            result.time_s = float("nan")
-        return result
+        self._seq[site] = attempt - 1
 
 
-#: Programmatically installed injector (takes precedence over the env one).
-_INSTALLED: "FaultInjector | None" = None
-#: Lazily built env-configured injector (kept so attempt counts persist).
-_FROM_ENV: "FaultInjector | None" = None
+#: Programmatically installed injectors by domain (beat the env ones).
+_INSTALLED: "dict[str, FaultInjector]" = {}
+#: Lazily built env-configured injectors (kept so seqs persist).
+_FROM_ENV: "dict[str, FaultInjector]" = {}
 
 
 def install(injector: FaultInjector) -> FaultInjector:
-    """Install an injector for this process (tests; returns it back)."""
-    global _INSTALLED
-    _INSTALLED = injector
+    """Install an injector for its plan's domain (tests; returns it)."""
+    _INSTALLED[injector.plan.domain] = injector
     return injector
 
 
-def uninstall() -> None:
-    """Remove the programmatically installed injector."""
-    global _INSTALLED
-    _INSTALLED = None
+def uninstall(domain: str = "run") -> None:
+    """Remove the programmatically installed injector of ``domain``."""
+    _INSTALLED.pop(domain, None)
 
 
 def reset() -> None:
     """Forget every installed/env-built injector (test hygiene)."""
-    global _INSTALLED, _FROM_ENV, _NET_INSTALLED, _NET_FROM_ENV
-    global _DISK_INSTALLED, _DISK_FROM_ENV
-    _INSTALLED = None
-    _FROM_ENV = None
-    _NET_INSTALLED = None
-    _NET_FROM_ENV = None
-    _DISK_INSTALLED = None
-    _DISK_FROM_ENV = None
+    _INSTALLED.clear()
+    _FROM_ENV.clear()
 
 
-def installed_plan() -> "FaultPlan | None":
-    """The programmatically installed plan, if any.
+def installed_plan(domain: str = "run") -> "FaultPlan | None":
+    """The programmatically installed plan of ``domain``, if any.
 
-    The process-isolated sweep executor serialises this into worker specs
-    so an injector installed in the parent (tests, harnesses) drives the
-    same fault schedule inside spawned workers -- env-gated injection
-    needs no help, since ``REPRO_FAULTS*`` is propagated as environment.
+    The process-isolated sweep executor ships this to its workers so an
+    injector installed in the parent drives the same schedule there;
+    env-gated injection needs no help (the environment is inherited).
     """
-    return _INSTALLED.plan if _INSTALLED is not None else None
+    injector = _INSTALLED.get(domain)
+    return injector.plan if injector is not None else None
 
 
-def active() -> "FaultInjector | None":
-    """The injector to route executions through, or None when disabled."""
-    global _FROM_ENV
-    if _INSTALLED is not None:
-        return _INSTALLED
-    if not _env_flag("REPRO_FAULTS"):
+def active(domain: str = "run") -> "FaultInjector | None":
+    """The injector for ``domain``, or None when it is disabled."""
+    injector = _INSTALLED.get(domain)
+    if injector is not None:
+        return injector
+    # Runs per cell attempt, frame and durable write: one env read.
+    if os.environ.get(DOMAINS[domain].env, "").strip().lower() not in _TRUE:
         return None
-    if _FROM_ENV is None:
-        _FROM_ENV = FaultInjector(FaultPlan.from_env())
-    return _FROM_ENV
-
-
-@dataclass(frozen=True)
-class NetFaultPlan:
-    """Per-frame network fault probabilities (disjoint bands: drop, then
-    delay, then duplicate, then partition, from one uniform sample)."""
-
-    drop_p: float = 0.0
-    delay_p: float = 0.0
-    dup_p: float = 0.0
-    partition_p: float = 0.0
-    delay_s: float = 0.05
-    partition_s: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("drop_p", "delay_p", "dup_p", "partition_p"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.drop_p + self.delay_p + self.dup_p + self.partition_p > 1.0:
-            raise ValueError("network fault probabilities must sum to <= 1")
-        for name in ("delay_s", "partition_s"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @classmethod
-    def from_env(cls) -> "NetFaultPlan":
-        return cls(
-            drop_p=_env_float("REPRO_NET_FAULTS_DROP_P", 0.0),
-            delay_p=_env_float("REPRO_NET_FAULTS_DELAY_P", 0.0),
-            dup_p=_env_float("REPRO_NET_FAULTS_DUP_P", 0.0),
-            partition_p=_env_float("REPRO_NET_FAULTS_PARTITION_P", 0.0),
-            delay_s=_env_float("REPRO_NET_FAULTS_DELAY_S", 0.05),
-            partition_s=_env_float("REPRO_NET_FAULTS_PARTITION_S", 2.0),
-            seed=int(_env_float("REPRO_NET_FAULTS_SEED", 0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "drop_p": self.drop_p,
-            "delay_p": self.delay_p,
-            "dup_p": self.dup_p,
-            "partition_p": self.partition_p,
-            "delay_s": self.delay_s,
-            "partition_s": self.partition_s,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetFaultPlan":
-        return cls(**data)
-
-
-class NetFaultInjector:
-    """Seeded per-frame delivery decisions for fabric links.
-
-    :meth:`fates` returns the *delivery schedule* for the next outgoing
-    frame on a site: a list of per-copy delays.  ``[]`` means the frame
-    is dropped, ``[0.0]`` is normal delivery, ``[0.0, 0.0]`` is a
-    duplicate, ``[delay_s]`` a delayed frame.  A ``partition`` fate
-    drops the frame *and* opens a window during which every later frame
-    on the same site is dropped too -- the closest a seeded, send-side
-    injector gets to yanking the cable.
-    """
-
-    def __init__(self, plan: NetFaultPlan, clock: "Callable[[], float]" = time.monotonic):
-        self.plan = plan
-        self._clock = clock
-        self._seq: "dict[str, int]" = {}
-        self._partition_until: "dict[str, float]" = {}
-        #: How many of each fate was actually injected.
-        self.injected = {
-            "drop": 0, "delay": 0, "dup": 0,
-            "partition": 0, "partition_drop": 0,
-        }
-
-    def fates(self, site: str) -> "list[float]":
-        """Delivery schedule (list of per-copy delays) for the next frame."""
-        seq = self._seq.get(site, 0) + 1
-        self._seq[site] = seq
-        now = self._clock()
-        until = self._partition_until.get(site)
-        if until is not None:
-            if now < until:
-                self.injected["partition_drop"] += 1
-                return []
-            del self._partition_until[site]
-        plan = self.plan
-        u = stable_seed(plan.seed, "net", site, seq) / float(1 << 64)
-        if u < plan.drop_p:
-            self.injected["drop"] += 1
-            return []
-        band = plan.drop_p
-        if u < band + plan.delay_p:
-            self.injected["delay"] += 1
-            return [plan.delay_s]
-        band += plan.delay_p
-        if u < band + plan.dup_p:
-            self.injected["dup"] += 1
-            return [0.0, 0.0]
-        band += plan.dup_p
-        if u < band + plan.partition_p:
-            self.injected["partition"] += 1
-            self._partition_until[site] = now + plan.partition_s
-            return []
-        return [0.0]
-
-
-#: Programmatically installed network injector (beats the env one).
-_NET_INSTALLED: "NetFaultInjector | None" = None
-#: Lazily built env-configured network injector (frame seqs persist).
-_NET_FROM_ENV: "NetFaultInjector | None" = None
-
-
-def install_network(injector: NetFaultInjector) -> NetFaultInjector:
-    """Install a network injector for this process (tests; returns it)."""
-    global _NET_INSTALLED
-    _NET_INSTALLED = injector
+    injector = _FROM_ENV.get(domain)
+    if injector is None:
+        injector = _FROM_ENV[domain] = FaultInjector(FaultPlan.from_env(domain))
     return injector
-
-
-def uninstall_network() -> None:
-    """Remove the programmatically installed network injector."""
-    global _NET_INSTALLED
-    _NET_INSTALLED = None
-
-
-def active_network() -> "NetFaultInjector | None":
-    """The network injector for fabric links, or None when disabled."""
-    global _NET_FROM_ENV
-    if _NET_INSTALLED is not None:
-        return _NET_INSTALLED
-    if not _env_flag("REPRO_NET_FAULTS"):
-        return None
-    if _NET_FROM_ENV is None:
-        _NET_FROM_ENV = NetFaultInjector(NetFaultPlan.from_env())
-    return _NET_FROM_ENV
-
-
-@dataclass(frozen=True)
-class DiskFaultPlan:
-    """Per-write disk fault probabilities (disjoint bands: EIO, then
-    ENOSPC, then torn write, then lost fsync, from one uniform sample)."""
-
-    eio_p: float = 0.0
-    enospc_p: float = 0.0
-    torn_p: float = 0.0
-    lost_fsync_p: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("eio_p", "enospc_p", "torn_p", "lost_fsync_p"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.eio_p + self.enospc_p + self.torn_p + self.lost_fsync_p > 1.0:
-            raise ValueError("disk fault probabilities must sum to <= 1")
-
-    @classmethod
-    def from_env(cls) -> "DiskFaultPlan":
-        return cls(
-            eio_p=_env_float("REPRO_DISK_FAULTS_EIO_P", 0.0),
-            enospc_p=_env_float("REPRO_DISK_FAULTS_ENOSPC_P", 0.0),
-            torn_p=_env_float("REPRO_DISK_FAULTS_TORN_P", 0.0),
-            lost_fsync_p=_env_float("REPRO_DISK_FAULTS_LOST_FSYNC_P", 0.0),
-            seed=int(_env_float("REPRO_DISK_FAULTS_SEED", 0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "eio_p": self.eio_p,
-            "enospc_p": self.enospc_p,
-            "torn_p": self.torn_p,
-            "lost_fsync_p": self.lost_fsync_p,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiskFaultPlan":
-        return cls(**data)
-
-
-class DiskFaultInjector:
-    """Seeded per-write fate decisions for durable storage.
-
-    :meth:`fate` returns what the next durable write at a site should
-    suffer: ``"eio"`` (fail before any bytes land), ``"enospc"`` (fail
-    mid-write, tearing the temp file), ``"torn"`` (half the payload is
-    written and the rename *succeeds* -- silent corruption only the
-    record checksum can catch), ``"lost_fsync"`` (the write completes
-    but no fsync is issued), or ``None`` for a normal write.  The fate
-    is a pure function of (plan, site, seq), so a failing chaos run
-    replays byte-for-byte with the same seed.
-    """
-
-    def __init__(self, plan: DiskFaultPlan):
-        self.plan = plan
-        self._seq: "dict[str, int]" = {}
-        #: How many of each fate was actually injected.
-        self.injected = {"eio": 0, "enospc": 0, "torn": 0, "lost_fsync": 0}
-
-    def fate(self, site: str) -> "str | None":
-        """The fate of the next durable write at ``site``."""
-        seq = self._seq.get(site, 0) + 1
-        self._seq[site] = seq
-        plan = self.plan
-        u = stable_seed(plan.seed, "disk", site, seq) / float(1 << 64)
-        band = 0.0
-        for kind, p in (
-            ("eio", plan.eio_p),
-            ("enospc", plan.enospc_p),
-            ("torn", plan.torn_p),
-            ("lost_fsync", plan.lost_fsync_p),
-        ):
-            if u < band + p:
-                self.injected[kind] += 1
-                return kind
-            band += p
-        return None
-
-
-#: Programmatically installed disk injector (beats the env one).
-_DISK_INSTALLED: "DiskFaultInjector | None" = None
-#: Lazily built env-configured disk injector (write seqs persist).
-_DISK_FROM_ENV: "DiskFaultInjector | None" = None
-
-
-def install_disk(injector: DiskFaultInjector) -> DiskFaultInjector:
-    """Install a disk injector for this process (tests; returns it)."""
-    global _DISK_INSTALLED
-    _DISK_INSTALLED = injector
-    return injector
-
-
-def uninstall_disk() -> None:
-    """Remove the programmatically installed disk injector."""
-    global _DISK_INSTALLED
-    _DISK_INSTALLED = None
-
-
-def active_disk() -> "DiskFaultInjector | None":
-    """The disk injector for durable writes, or None when disabled."""
-    global _DISK_FROM_ENV
-    if _DISK_INSTALLED is not None:
-        return _DISK_INSTALLED
-    if not _env_flag("REPRO_DISK_FAULTS"):
-        return None
-    if _DISK_FROM_ENV is None:
-        _DISK_FROM_ENV = DiskFaultInjector(DiskFaultPlan.from_env())
-    return _DISK_FROM_ENV

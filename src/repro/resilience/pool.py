@@ -224,7 +224,7 @@ class SweepPool:
         self, batch: "list[CellTask]", attempt: int, env: dict,
         sidecar: "str | None" = None,
     ) -> dict:
-        plan = faults.installed_plan()
+        plan = faults.installed_plan("run")
         return {
             "run_kind": batch[0].run_kind,
             "cells": [
@@ -395,18 +395,16 @@ class SweepPool:
         # unlinked in the finally below, which runs on completion, abort,
         # fail-fast and KeyboardInterrupt alike -- a SIGKILLed worker can
         # never leak a /dev/shm entry.
-        shm_seg = None
-        if shm_transport.transport_enabled():
-            self._shm_meta, shm_seg = shm_transport.export_traces(
-                tasks, self.instructions
+        self._shm_meta, shm_seg = shm_transport.export_traces(
+            tasks, self.instructions
+        )
+        if shm_seg is not None:
+            self._event(
+                "shm_exported",
+                name=self._shm_meta["name"],
+                bytes=self._shm_meta["size"],
+                traces=len(self._shm_meta["entries"]),
             )
-            if shm_seg is not None:
-                self._event(
-                    "shm_exported",
-                    name=self._shm_meta["name"],
-                    bytes=self._shm_meta["size"],
-                    traces=len(self._shm_meta["entries"]),
-                )
 
         # Split first attempts evenly across the worker slots.
         batch = max(

@@ -44,13 +44,11 @@ Failure never escalates: a parent that cannot create shared memory (no
 ``/dev/shm``, size limits) exports nothing, and a worker that cannot
 attach (segment already unlinked during a drain race) seeds nothing; both
 fall back to ordinary generation, which is slower but bit-identical.
-``REPRO_NO_SHM_TRACES=1`` disables the transport outright.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -83,12 +81,6 @@ _stats = {
 def transport_stats() -> "dict[str, int]":
     """Point-in-time counters of this process's shm-trace activity."""
     return dict(_stats)
-
-
-def transport_enabled() -> bool:
-    """``REPRO_NO_SHM_TRACES`` escape hatch for the trace transport."""
-    raw = os.environ.get("REPRO_NO_SHM_TRACES", "").strip().lower()
-    return raw not in {"1", "true", "yes", "on"}
 
 
 def _align(offset: int) -> int:
@@ -252,7 +244,7 @@ def attach_traces(meta) -> int:
     regeneration -- slower, bit-identical.
     """
     global _cleanup_registered
-    if meta is None or not transport_enabled():
+    if meta is None:
         return 0
     try:
         shm = _attach_untracked(meta["name"])

@@ -162,12 +162,14 @@ def worker_main(conn, spec: dict) -> None:
     # Reconstruct fault state from the spec, never from inherited process
     # state; each cell below draws for exactly the attempt the supervisor
     # assigned.
+    from repro.experiments.runner import faulted_attempt
+
     faults.reset()
     plan = spec.get("fault_plan")
     injector = (
         faults.install(faults.FaultInjector(faults.FaultPlan.from_dict(plan)))
         if plan is not None
-        else faults.active()
+        else faults.active("run")
     )
 
     # Observability: the spec says explicitly whether the coordinator had
@@ -239,7 +241,9 @@ def worker_main(conn, spec: dict) -> None:
                 cell_start = time.perf_counter()
                 cell_key = tuple(cell["key"])
                 if injector is not None:
-                    injector.prime(cell["run_kind"], cell_key, spec["attempt"])
+                    injector.prime(
+                        cell["run_kind"], cell_key, attempt=spec["attempt"]
+                    )
 
                 def replay(out=out):
                     if out.error is not None:
@@ -248,8 +252,8 @@ def worker_main(conn, spec: dict) -> None:
 
                 try:
                     if injector is not None:
-                        result = injector.call(
-                            cell["run_kind"], cell_key, replay
+                        result = faulted_attempt(
+                            injector, cell["run_kind"], cell_key, replay
                         )
                     else:
                         result = replay()

@@ -38,8 +38,8 @@ Robustness is the headline, not the routes:
   connections the server answers an immediate structured 503 instead of
   queueing unbounded sockets; per-client token buckets
   (:mod:`repro.serve.ratelimit`) shed request floods with 429.
-* **Deterministic fault injection** -- accept/read/write each route
-  through :func:`repro.resilience.faults.active_network` sites
+* **Deterministic fault injection** -- accept/read/write each draw
+  from the ``net`` fault injector at their own sites
   (``http.accept`` / ``http.read`` / ``http.write``), so dropped
   connections, delayed requests, and vanished responses replay
   byte-identically under a seed.
@@ -67,7 +67,7 @@ from typing import Callable, Optional
 
 from repro.obs.events import get_event_log
 from repro.obs.export import prometheus_text
-from repro.resilience.faults import active_network
+from repro.resilience import faults
 from repro.serve.ratelimit import RateLimiter
 
 #: HTTP status for each structured shed reason.  429 = the client can
@@ -153,6 +153,16 @@ def retry_after_for(reason: "str | None", hint: "float | None") -> "float | None
     if reason is None:
         return None
     return DEFAULT_RETRY_AFTER.get(reason)
+
+
+def _wire_delay(site: str) -> "float | None":
+    """Seconds to stall the wire step at ``site``, or None when the
+    ``net`` fault schedule drops it (a duplicate is a no-op here)."""
+    injector = faults.active("net")
+    kind = injector.draw(site) if injector is not None else None
+    if kind == "delay":
+        return injector.plan.delay_s
+    return 0.0 if kind in (None, "dup") else None
 
 
 class HttpFrontDoor:
@@ -272,18 +282,16 @@ class HttpFrontDoor:
         becomes a structured 500 inside :meth:`_serve_one`, and wire
         trouble (peer gone, injected fault) is counted and closed.
         """
-        injector = active_network()
-        if injector is not None:
-            fates = injector.fates("http.accept")
-            if not fates:
-                # Injected accept drop: the TCP handshake succeeded but
-                # the server "loses" the connection -- the client sees
-                # a reset and retries.
-                self._record("accept_dropped")
-                self._close(writer)
-                return
-            if fates[0] > 0:
-                await asyncio.sleep(fates[0])
+        delay = _wire_delay("http.accept")
+        if delay is None:
+            # Injected accept drop: the TCP handshake succeeded but the
+            # server "loses" the connection -- the client sees a reset
+            # and retries.
+            self._record("accept_dropped")
+            self._close(writer)
+            return
+        if delay > 0:
+            await asyncio.sleep(delay)
         if self._draining or self._open >= self.config.max_connections:
             code = "draining" if self._draining else "over_capacity"
             self._record(code)
@@ -386,15 +394,13 @@ class HttpFrontDoor:
 
     async def _read_request(self, reader):
         """Parse one size-bounded, deadline-bounded HTTP/1.1 request."""
-        injector = active_network()
-        if injector is not None:
-            fates = injector.fates("http.read")
-            if not fates:
-                # Injected read drop: the request never "arrives".
-                self._record("read_dropped")
-                raise _ConnectionAbort()
-            if fates[0] > 0:
-                await asyncio.sleep(fates[0])
+        delay = _wire_delay("http.read")
+        if delay is None:
+            # Injected read drop: the request never "arrives".
+            self._record("read_dropped")
+            raise _ConnectionAbort()
+        if delay > 0:
+            await asyncio.sleep(delay)
         timeout = self.config.read_timeout_s
         try:
             head = await asyncio.wait_for(
@@ -667,17 +673,15 @@ class HttpFrontDoor:
         self, writer, status, doc, *, retry_after=None, content_type=_JSON
     ) -> None:
         """Write one response through the ``http.write`` fault site."""
-        injector = active_network()
-        if injector is not None:
-            fates = injector.fates("http.write")
-            if not fates:
-                # Injected write drop: the job may well be admitted but
-                # the 202 vanishes -- exactly the case idempotency keys
-                # exist for (the client's retry finds the original id).
-                self._record("write_dropped")
-                raise _ConnectionAbort()
-            if fates[0] > 0:
-                await asyncio.sleep(fates[0])
+        delay = _wire_delay("http.write")
+        if delay is None:
+            # Injected write drop: the job may well be admitted but the
+            # 202 vanishes -- exactly the case idempotency keys exist
+            # for (the client's retry finds the original id).
+            self._record("write_dropped")
+            raise _ConnectionAbort()
+        if delay > 0:
+            await asyncio.sleep(delay)
         data = self._encode(
             status, doc, retry_after=retry_after, content_type=content_type
         )

@@ -196,13 +196,12 @@ def test_mid_batch_fault_degrades_to_single_cell_gap():
     """One poisoned cell inside the serial batch becomes a RunFailure gap;
     its siblings complete and the batch telemetry still covers them."""
 
-    class KillCell:
-        def call(self, site, key, fn):
+    class KillCell(FaultInjector):
+        def draw(self, run_kind, key):
             if key == ("BaseTFET", "lu"):
                 raise RuntimeError("poisoned mid-batch cell")
-            return fn()
 
-    faults.install(KillCell())
+    faults.install(KillCell(FaultPlan()))
     runner = SweepRunner(
         SweepSettings(instructions=2_000, apps=["lu"], kernels=["DCT"]),
         policy=GuardPolicy(max_retries=0, backoff_base_s=0.0, jitter=0.0),
@@ -286,6 +285,33 @@ def test_timed_out_batch_is_a_timeout_gap(monkeypatch):
     deadline = time.monotonic() + 30.0
     while zombie_thread_count() and time.monotonic() < deadline:
         time.sleep(0.05)
+
+
+def test_repeated_cell_runs_once_and_counts_one_hit(monkeypatch):
+    """A cell named twice in one sweep reaches the engine once; the
+    repeat counts as the hit a second lookup would be."""
+    import repro.experiments.runner as runner_mod
+
+    batches = []
+
+    def spy_batch(cells, **kwargs):
+        batches.append(len(cells))
+        return simulate_cpu_batch(cells, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "simulate_cpu_batch", spy_batch)
+    runner = SweepRunner(
+        SweepSettings(instructions=500, apps=["lu"], kernels=["DCT"])
+    )
+    results = runner.cpu_sweep(["BaseCMOS", "BaseCMOS"])
+    assert batches == [1]
+    assert results["BaseCMOS"]["lu"] is not None
+    assert runner.telemetry.summary()["cache"]["cpu"] == {"hits": 1, "misses": 1}
+    # The pool path plans its tasks from the same de-duplicated list.
+    fresh = SweepRunner(SweepSettings(instructions=500, apps=["lu"]))
+    cell = ("AdvHet", "lu", ())
+    assert [key for key, _ in fresh._missing("cpu", [cell, cell])] == [
+        ("AdvHet", "lu")
+    ]
 
 
 # ---------------------------------------------------------------------

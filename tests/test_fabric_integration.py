@@ -28,8 +28,8 @@ from repro.fabric import (
 )
 from repro.fabric.coordinator import NodeClient
 from repro.fabric.protocol import ConnectionClosed, FrameSocket, ProtocolError
-from repro.resilience import GuardPolicy, faults
-from repro.resilience.faults import NetFaultInjector, NetFaultPlan
+from repro.resilience import GuardPolicy, RunFailure, faults
+from repro.resilience.faults import FaultInjector, FaultPlan
 
 SMALL = dict(instructions=2_000, apps=["barnes", "lu", "radix"], kernels=["DCT"])
 CONFIGS = ["BaseCMOS", "AdvHet"]
@@ -331,12 +331,36 @@ def test_no_nodes_before_join_timeout_sheds_remaining():
     )
 
 
+def test_store_hit_at_serve_clears_a_recorded_gap(tmp_path):
+    """Cells the durable store already holds are cache hits at serve(),
+    and, as in a local sweep, supersede a gap recorded for them."""
+    store = tmp_path / "store"
+    SweepRunner(SweepSettings(**SMALL), store=store).cpu_run("BaseCMOS", "lu")
+    runner = SweepRunner(
+        SweepSettings(**SMALL),
+        policy=GuardPolicy(max_retries=0, backoff_base_s=0.0, jitter=0.0),
+        store=store,
+    )
+    runner.record_gap(RunFailure(
+        run_kind="cpu", config="BaseCMOS", workload="lu", kind="crash",
+        attempts=1, message="earlier attempt",
+    ))
+    coord = FabricCoordinator(
+        runner, [("cpu", "BaseCMOS", "lu")], fabric_config()
+    )
+    out = asyncio.run(coord.serve())
+    assert runner.failures == {}
+    assert out["gaps"] == 0 and out["completed"] == 1
+    assert runner.telemetry.summary()["cache"]["cpu"] == {"hits": 1, "misses": 0}
+
+
 # ---------------------------------------------------------------------
 # seeded network faults: drops/dups/delays, still complete + identical
 # ---------------------------------------------------------------------
 
 def test_sweep_completes_under_seeded_network_faults(serial_doc):
-    faults.install_network(NetFaultInjector(NetFaultPlan(
+    faults.install(FaultInjector(FaultPlan(
+        "net",
         drop_p=0.08, delay_p=0.10, dup_p=0.08, delay_s=0.02, seed=42,
     )))
     try:
@@ -347,7 +371,7 @@ def test_sweep_completes_under_seeded_network_faults(serial_doc):
             ["alpha", "beta"],
         )
     finally:
-        faults.uninstall_network()
+        faults.uninstall("net")
     assert out["gaps"] == 0 and not runner.failures
     assert report_doc(runner) == serial_doc
     # Dropped frames surface as duplicates/resubmissions/timeouts, never

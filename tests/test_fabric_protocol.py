@@ -18,13 +18,14 @@ from repro.fabric.protocol import (
     HashRing,
     ProtocolError,
     decode_payload,
+    delivery,
     encode_frame,
     read_frame,
     route_key,
     send_frame,
 )
 from repro.resilience import faults
-from repro.resilience.faults import NetFaultInjector, NetFaultPlan
+from repro.resilience.faults import FaultInjector, FaultPlan
 
 
 # ---------------------------------------------------------------------
@@ -99,9 +100,9 @@ def test_frame_socket_eof_raises_connection_closed():
 
 
 def test_frame_socket_injector_duplicates_and_drops():
-    plan = NetFaultPlan(dup_p=1.0)
+    plan = FaultPlan("net", dup_p=1.0)
     raw_a, raw_b = socket.socketpair()
-    a = FrameSocket(raw_a, site="dup", injector=NetFaultInjector(plan))
+    a = FrameSocket(raw_a, site="dup", injector=FaultInjector(plan))
     b = FrameSocket(raw_b)
     try:
         a.send({"type": "echo"})
@@ -111,7 +112,7 @@ def test_frame_socket_injector_duplicates_and_drops():
         a.close()
         b.close()
 
-    drop = NetFaultInjector(NetFaultPlan(drop_p=1.0))
+    drop = FaultInjector(FaultPlan("net", drop_p=1.0))
     raw_a, raw_b = socket.socketpair()
     a = FrameSocket(raw_a, site="drop", injector=drop)
     b = FrameSocket(raw_b)
@@ -138,7 +139,7 @@ def test_async_frames_interoperate_with_sync_frames():
             msg = await read_frame(r2)
             assert msg == {"task_id": "t1", "type": "assign"}
             # Duplicated coordinator frame: both copies arrive, in order.
-            inj = NetFaultInjector(NetFaultPlan(dup_p=1.0))
+            inj = FaultInjector(FaultPlan("net", dup_p=1.0))
             await send_frame(w2, {"type": "result"}, site="s", injector=inj)
             assert (await read_frame(r1))["type"] == "result"
             assert (await read_frame(r1))["type"] == "result"
@@ -212,77 +213,79 @@ def test_hash_ring_empty_and_duplicate_membership():
 
 def test_net_fault_plan_validates_probabilities():
     with pytest.raises(ValueError):
-        NetFaultPlan(drop_p=1.5)
+        FaultPlan("net", drop_p=1.5)
     with pytest.raises(ValueError):
-        NetFaultPlan(drop_p=0.6, dup_p=0.6)  # bands must fit in [0, 1]
+        FaultPlan("net", drop_p=0.6, dup_p=0.6)  # bands must fit in [0, 1]
     with pytest.raises(ValueError):
-        NetFaultPlan(delay_s=-1.0)
-    plan = NetFaultPlan(drop_p=0.25, delay_p=0.25, dup_p=0.25,
+        FaultPlan("net", delay_s=-1.0)
+    plan = FaultPlan("net", drop_p=0.25, delay_p=0.25, dup_p=0.25,
                         partition_p=0.25)
-    assert NetFaultPlan.from_dict(plan.to_dict()) == plan
+    assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
 def test_net_fault_injector_is_seed_deterministic():
-    plan = NetFaultPlan(drop_p=0.2, delay_p=0.2, dup_p=0.2, seed=11)
-    a, b = NetFaultInjector(plan), NetFaultInjector(plan)
-    fates_a = [a.fates("node-1->coordinator") for _ in range(64)]
-    fates_b = [b.fates("node-1->coordinator") for _ in range(64)]
+    plan = FaultPlan("net", drop_p=0.2, delay_p=0.2, dup_p=0.2, seed=11)
+    a, b = FaultInjector(plan), FaultInjector(plan)
+    fates_a = [delivery(a, "node-1->coordinator") for _ in range(64)]
+    fates_b = [delivery(b, "node-1->coordinator") for _ in range(64)]
     assert fates_a == fates_b
     assert a.injected == b.injected
     assert a.injected["drop"] > 0 and a.injected["dup"] > 0
     # A different site draws an independent schedule.
-    c = NetFaultInjector(plan)
-    assert [c.fates("coordinator->node-1") for _ in range(64)] != fates_a
+    c = FaultInjector(plan)
+    assert [delivery(c, "coordinator->node-1") for _ in range(64)] != fates_a
 
 
 def test_net_fault_fate_vocabulary():
-    assert NetFaultInjector(NetFaultPlan()).fates("s") == [0.0]
-    assert NetFaultInjector(NetFaultPlan(drop_p=1.0)).fates("s") == []
-    assert NetFaultInjector(NetFaultPlan(dup_p=1.0)).fates("s") == [0.0, 0.0]
-    assert NetFaultInjector(
-        NetFaultPlan(delay_p=1.0, delay_s=0.25)
-    ).fates("s") == [0.25]
+    def once(**params):
+        return delivery(FaultInjector(FaultPlan("net", **params)), "s")
+
+    assert once() == [0.0]
+    assert delivery(None, "s") == [0.0]
+    assert once(drop_p=1.0) == []
+    assert once(dup_p=1.0) == [0.0, 0.0]
+    assert once(delay_p=1.0, delay_s=0.25) == [0.25]
 
 
 def test_net_fault_partition_opens_a_timed_drop_window():
     now = [100.0]
-    inj = NetFaultInjector(
-        NetFaultPlan(partition_p=0.2, partition_s=1.0, seed=3),
+    inj = FaultInjector(
+        FaultPlan("net", partition_p=0.2, partition_s=1.0, seed=3),
         clock=lambda: now[0],
     )
     for _ in range(400):
-        inj.fates("link")
+        delivery(inj, "link")
         if inj.injected["partition"]:
             break
     assert inj.injected["partition"] == 1
     # Inside the window every frame on the site drops, regardless of
     # its own draw.
     before = inj.injected["partition_drop"]
-    assert inj.fates("link") == []
-    assert inj.fates("link") == []
+    assert delivery(inj, "link") == []
+    assert delivery(inj, "link") == []
     assert inj.injected["partition_drop"] == before + 2
     # Other sites are unaffected (partitions are directional).
-    assert inj.fates("other-link") in ([0.0], [], [0.0, 0.0])
+    assert delivery(inj, "other-link") in ([0.0], [], [0.0, 0.0])
     # After the window expires, delivery resumes.
     now[0] += 1.5
-    assert any(inj.fates("link") == [0.0] for _ in range(100))
+    assert any(delivery(inj, "link") == [0.0] for _ in range(100))
 
 
 def test_network_injector_install_and_env_gate(monkeypatch):
-    inj = faults.install_network(NetFaultInjector(NetFaultPlan(drop_p=1.0)))
-    assert faults.active_network() is inj
-    faults.uninstall_network()
-    assert faults.active_network() is None
+    inj = faults.install(FaultInjector(FaultPlan("net", drop_p=1.0)))
+    assert faults.active("net") is inj
+    faults.uninstall("net")
+    assert faults.active("net") is None
 
     monkeypatch.setenv("REPRO_NET_FAULTS", "1")
     monkeypatch.setenv("REPRO_NET_FAULTS_DROP_P", "0.125")
     monkeypatch.setenv("REPRO_NET_FAULTS_SEED", "9")
     faults.reset()
-    env_inj = faults.active_network()
+    env_inj = faults.active("net")
     assert env_inj is not None
     assert env_inj.plan.drop_p == 0.125 and env_inj.plan.seed == 9
-    assert faults.active_network() is env_inj  # frame seqs persist
+    assert faults.active("net") is env_inj  # frame seqs persist
 
     monkeypatch.delenv("REPRO_NET_FAULTS")
     faults.reset()
-    assert faults.active_network() is None
+    assert faults.active("net") is None

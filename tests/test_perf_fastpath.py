@@ -325,8 +325,13 @@ def test_shm_attach_failure_is_harmless():
 
 
 def test_shm_transport_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SHM_TRACES", "1")
-    assert not shm_transport.transport_enabled()
+    """A failed export (no /dev/shm, size limits) degrades to per-worker
+    trace regeneration: the sweep still gets its result."""
+
+    def no_shm(*args, **kwargs):
+        raise OSError("shared memory unavailable")
+
+    monkeypatch.setattr(shm_transport.shared_memory, "SharedMemory", no_shm)
     events = []
     pool = SweepPool(
         policy=GuardPolicy(max_retries=0, backoff_base_s=0.0, jitter=0.0),

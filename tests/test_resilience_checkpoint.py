@@ -157,15 +157,14 @@ def test_failures_are_persisted_in_checkpoint(ck_path):
 
 
 def test_resume_executes_only_missing_cells(ck_path):
-    class KillCell:
+    class KillCell(FaultInjector):
         """Deterministically fail exactly one (config, app) cell."""
 
-        def call(self, site, key, fn):
+        def draw(self, run_kind, key):
             if key == ("AdvHet", "lu"):
                 raise RuntimeError("poisoned cell")
-            return fn()
 
-    faults.install(KillCell())
+    faults.install(KillCell(FaultPlan()))
     first = make_runner(ck_path)
     results = first.cpu_sweep(["BaseCMOS", "AdvHet"])
     assert results["BaseCMOS"]["lu"] is not None

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from repro.resilience import diskio, faults
-from repro.resilience.faults import DiskFaultInjector, DiskFaultPlan
+from repro.resilience.faults import FaultInjector, FaultPlan
 
 
 # ---------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_sweep_of_missing_directory_is_a_noop(tmp_path):
 # ---------------------------------------------------------------------
 
 def test_injected_eio_raises_and_leaves_nothing(tmp_path):
-    faults.install_disk(DiskFaultInjector(DiskFaultPlan(eio_p=1.0)))
+    faults.install(FaultInjector(FaultPlan("disk", eio_p=1.0)))
     path = tmp_path / "snap.json"
     with pytest.raises(OSError) as exc:
         diskio.write_record(path, {"x": 1}, site="t")
@@ -145,7 +145,7 @@ def test_injected_eio_raises_and_leaves_nothing(tmp_path):
 
 
 def test_injected_enospc_raises_and_unlinks_the_temp(tmp_path):
-    faults.install_disk(DiskFaultInjector(DiskFaultPlan(enospc_p=1.0)))
+    faults.install(FaultInjector(FaultPlan("disk", enospc_p=1.0)))
     path = tmp_path / "snap.json"
     with pytest.raises(OSError) as exc:
         diskio.write_record(path, {"x": 1}, site="t")
@@ -154,29 +154,29 @@ def test_injected_enospc_raises_and_unlinks_the_temp(tmp_path):
 
 
 def test_injected_torn_write_succeeds_then_fails_checksum(tmp_path):
-    faults.install_disk(DiskFaultInjector(DiskFaultPlan(torn_p=1.0)))
+    faults.install(FaultInjector(FaultPlan("disk", torn_p=1.0)))
     path = tmp_path / "snap.json"
     diskio.write_record(path, {"x": 1}, site="t")  # "succeeds"
     assert path.exists()
-    faults.uninstall_disk()
+    faults.uninstall("disk")
     assert diskio.read_record(path, site="t") is None  # caught on read
     assert path.with_name("snap.json.quarantine").exists()
 
 
 def test_injected_lost_fsync_still_writes_readably(tmp_path):
-    faults.install_disk(DiskFaultInjector(DiskFaultPlan(lost_fsync_p=1.0)))
+    faults.install(FaultInjector(FaultPlan("disk", lost_fsync_p=1.0)))
     path = tmp_path / "snap.json"
     diskio.write_record(path, {"x": 1}, site="t")
-    faults.uninstall_disk()
+    faults.uninstall("disk")
     assert diskio.read_record(path, site="t") == {"x": 1}
     assert diskio.stats()["fsync_skipped"] == 1
 
 
 def test_fates_are_deterministic_per_site_and_seq():
-    a = DiskFaultInjector(DiskFaultPlan(torn_p=0.3, eio_p=0.3, seed=7))
-    b = DiskFaultInjector(DiskFaultPlan(torn_p=0.3, eio_p=0.3, seed=7))
-    fates_a = [a.fate("ck") for _ in range(50)] + [a.fate("hp") for _ in range(50)]
-    fates_b = [b.fate("ck") for _ in range(50)] + [b.fate("hp") for _ in range(50)]
+    a = FaultInjector(FaultPlan("disk", torn_p=0.3, eio_p=0.3, seed=7))
+    b = FaultInjector(FaultPlan("disk", torn_p=0.3, eio_p=0.3, seed=7))
+    fates_a = [a.draw("ck") for _ in range(50)] + [a.draw("hp") for _ in range(50)]
+    fates_b = [b.draw("ck") for _ in range(50)] + [b.draw("hp") for _ in range(50)]
     assert fates_a == fates_b
     assert any(f is not None for f in fates_a)  # p=0.6: something fires
     assert any(f is None for f in fates_a)
@@ -184,37 +184,37 @@ def test_fates_are_deterministic_per_site_and_seq():
 
 def test_plan_validation_rejects_bad_probabilities():
     with pytest.raises(ValueError, match="must be in"):
-        DiskFaultPlan(eio_p=1.5)
+        FaultPlan("disk", eio_p=1.5)
     with pytest.raises(ValueError, match="sum"):
-        DiskFaultPlan(eio_p=0.6, torn_p=0.6)
+        FaultPlan("disk", eio_p=0.6, torn_p=0.6)
 
 
 def test_plan_round_trips_through_dict():
-    plan = DiskFaultPlan(eio_p=0.1, torn_p=0.2, seed=3)
-    assert DiskFaultPlan.from_dict(plan.to_dict()) == plan
+    plan = FaultPlan("disk", eio_p=0.1, torn_p=0.2, seed=3)
+    assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
 def test_env_gating_builds_an_injector(monkeypatch):
     monkeypatch.delenv("REPRO_DISK_FAULTS", raising=False)
     faults.reset()
-    assert faults.active_disk() is None
+    assert faults.active("disk") is None
     monkeypatch.setenv("REPRO_DISK_FAULTS", "1")
     monkeypatch.setenv("REPRO_DISK_FAULTS_TORN_P", "0.25")
     monkeypatch.setenv("REPRO_DISK_FAULTS_SEED", "9")
-    injector = faults.active_disk()
+    injector = faults.active("disk")
     assert injector is not None
-    assert injector.plan == DiskFaultPlan(torn_p=0.25, seed=9)
-    assert faults.active_disk() is injector  # seqs persist across writes
+    assert injector.plan == FaultPlan("disk", torn_p=0.25, seed=9)
+    assert faults.active("disk") is injector  # seqs persist across writes
     faults.reset()
     monkeypatch.delenv("REPRO_DISK_FAULTS")
-    assert faults.active_disk() is None
+    assert faults.active("disk") is None
 
 
 def test_faults_reset_clears_installed_disk_injector():
-    faults.install_disk(DiskFaultInjector(DiskFaultPlan(eio_p=1.0)))
-    assert faults.active_disk() is not None
+    faults.install(FaultInjector(FaultPlan("disk", eio_p=1.0)))
+    assert faults.active("disk") is not None
     faults.reset()
-    assert faults.active_disk() is None
+    assert faults.active("disk") is None
 
 
 def test_reset_stats_zeroes_everything(tmp_path):

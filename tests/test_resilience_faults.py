@@ -10,7 +10,7 @@ import pytest
 from repro import cli
 from repro.experiments.figures import figure7
 from repro.experiments.report import failure_table, paper_vs_measured
-from repro.experiments.runner import SweepRunner, SweepSettings
+from repro.experiments.runner import SweepRunner, SweepSettings, faulted_attempt
 from repro.resilience import FaultInjector, FaultPlan, GuardPolicy, InjectedFault
 from repro.resilience import faults
 
@@ -34,7 +34,7 @@ def test_draws_are_deterministic_across_injectors():
         out = []
         for attempt in range(20):
             try:
-                injector.call("cpu", ("C", "w"), lambda: "ok")
+                faulted_attempt(injector, "cpu", ("C", "w"), lambda: "ok")
                 out.append("ok")
             except InjectedFault:
                 out.append("fail")
@@ -50,7 +50,7 @@ def test_retry_attempts_reroll_the_draw():
     results = []
     for _ in range(10):
         try:
-            injector.call("cpu", ("C", "w"), lambda: "ok")
+            faulted_attempt(injector, "cpu", ("C", "w"), lambda: "ok")
             results.append(True)
         except InjectedFault:
             results.append(False)
@@ -61,7 +61,7 @@ def test_retry_attempts_reroll_the_draw():
 def test_env_gating(monkeypatch):
     faults.reset()
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    assert faults.active() is None
+    assert faults.active("run") is None
 
     monkeypatch.setenv("REPRO_FAULTS", "1")
     monkeypatch.setenv("REPRO_FAULTS_FAIL_P", "0.2")
@@ -69,20 +69,20 @@ def test_env_gating(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS_SEED", "42")
     monkeypatch.setenv("REPRO_FAULTS_HANG_S", "0.01")
     faults.reset()
-    injector = faults.active()
+    injector = faults.active("run")
     assert injector is not None
     assert injector.plan == FaultPlan(
         fail_p=0.2, hang_p=0.05, seed=42, hang_s=0.01
     )
-    assert faults.active() is injector  # cached, attempt counts persist
+    assert faults.active("run") is injector  # cached, attempt counts persist
 
 
 def test_installed_injector_takes_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS", "1")
     mine = faults.install(FaultInjector(FaultPlan()))
-    assert faults.active() is mine
-    faults.uninstall()
-    assert faults.active() is not mine
+    assert faults.active("run") is mine
+    faults.uninstall("run")
+    assert faults.active("run") is not mine
 
 
 # ---------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_sweep_under_faults_completes_with_consistent_accounting():
     telemetry = runner.telemetry.summary()
     # The seeded schedule injects at least one fault; each injected fault
     # is either retried away or ends as a recorded failure.
-    injector = faults.active()
+    injector = faults.active("run")
     injected = sum(injector.injected.values())
     assert injected > 0
     assert telemetry["retries"]["cpu"] + sum(
@@ -113,13 +113,12 @@ def test_sweep_under_faults_completes_with_consistent_accounting():
 
 
 def test_figure_renders_failed_cells_as_gaps():
-    class KillCell:
-        def call(self, site, key, fn):
+    class KillCell(FaultInjector):
+        def draw(self, run_kind, key):
             if key == ("BaseTFET", "lu"):
                 raise RuntimeError("poisoned cell")
-            return fn()
 
-    faults.install(KillCell())
+    faults.install(KillCell(FaultPlan()))
     runner = SweepRunner(SweepSettings(**SMALL))
     result = figure7(runner)
     assert "--" in result.table
@@ -153,13 +152,12 @@ def test_cli_sweep_with_gaps_then_resume(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS", "DCT")
     ck = tmp_path / "cli.ckpt.json"
 
-    class KillCell:
-        def call(self, site, key, fn):
+    class KillCell(FaultInjector):
+        def draw(self, run_kind, key):
             if key == ("AdvHet", "lu"):
                 raise RuntimeError("poisoned cell")
-            return fn()
 
-    faults.install(KillCell())
+    faults.install(KillCell(FaultPlan()))
     code, out = _run_cli(
         capsys, "sweep", "BaseCMOS", "AdvHet",
         "--checkpoint", str(ck), "--max-retries", "0", "--json",

@@ -186,17 +186,17 @@ def test_fail_fast_aborts_the_sweep():
 
 
 def test_retries_are_observable_in_telemetry():
-    class FlakyOnce:
-        """Duck-typed injector: first attempt per cell crashes."""
+    class FlakyOnce(FaultInjector):
+        """First attempt per cell crashes."""
 
         def __init__(self):
+            super().__init__(FaultPlan())
             self.seen = set()
 
-        def call(self, site, key, fn):
-            if (site, key) not in self.seen:
-                self.seen.add((site, key))
+        def draw(self, run_kind, key):
+            if (run_kind, key) not in self.seen:
+                self.seen.add((run_kind, key))
                 raise RuntimeError("transient blip")
-            return fn()
 
     faults.install(FlakyOnce())
     runner = small_runner(

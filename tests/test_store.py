@@ -10,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.resilience import diskio, faults
-from repro.resilience.faults import DiskFaultInjector, DiskFaultPlan
+from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.store import content_address
 from repro.store.cas import ENTRY_SCHEMA, ResultStore
 
@@ -151,7 +151,7 @@ def test_runner_reads_store_root_from_env(store_root, monkeypatch):
 
 def test_store_write_failure_degrades_not_crashes(store_root):
     runner = make_runner(store=store_root)
-    faults.install_disk(DiskFaultInjector(DiskFaultPlan(enospc_p=1.0)))
+    faults.install(FaultInjector(FaultPlan("disk", enospc_p=1.0)))
     result = runner.cpu_run("BaseCMOS", "lu")  # sweep continues
     assert result is not None
     counts = runner.telemetry.store_counts()
