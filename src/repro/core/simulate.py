@@ -13,6 +13,7 @@ produces identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.core.hetcore import CpuDesign, GpuDesign
 from repro.cpu.core import CoreConfig, CoreResult, OutOfOrderCore
@@ -23,7 +24,7 @@ from repro.power.metrics import ed2_product, ed_product
 from repro.power.model import EnergyBreakdown, cpu_energy, gpu_energy
 from repro.workloads.gpu_profiles import KernelProfile, gpu_kernel
 from repro.workloads.profiles import AppProfile, cpu_app
-from repro.workloads.trace_cache import cached_kernel, cached_trace
+from repro.workloads.trace_cache import cached_kernel, cached_trace, shared_cache
 
 #: Default measured window per core (instructions) and cache/predictor
 #: warm-up, sized so a full sweep stays tractable in pure Python while
@@ -90,16 +91,38 @@ class GpuRunResult:
         return self.energy_j / self.time_s if self.time_s else 0.0
 
 
-def _prewarm(hierarchy, profile: AppProfile) -> None:
+def _prewarm(hierarchy, profile: AppProfile, memo: "dict | None" = None) -> None:
     """Functionally warm the resident regions (largest first, so recency
     ends up hottest-innermost).  Region bases mirror the trace generator's
-    layout."""
+    layout.  ``memo`` is :meth:`MemoryHierarchy.prewarm`'s warm-state
+    memo."""
     from repro.workloads import generator as g
 
-    hierarchy.prewarm_region(g._BIG_BASE, profile.big_mb * 1024 * 1024)
-    hierarchy.prewarm_region(g._WARM_BASE, profile.warm_kb * 1024)
-    hierarchy.prewarm_region(g._HOT_BASE, profile.hot_kb * 1024, into_l1=True)
-    hierarchy.prewarm_region(g._STACK_BASE, profile.stack_kb * 1024, into_l1=True)
+    hierarchy.prewarm(
+        (
+            (g._BIG_BASE, profile.big_mb * 1024 * 1024, False),
+            (g._WARM_BASE, profile.warm_kb * 1024, False),
+            (g._HOT_BASE, profile.hot_kb * 1024, True),
+            (g._STACK_BASE, profile.stack_kb * 1024, True),
+        ),
+        memo,
+    )
+
+
+def warm_memo(trace) -> "dict | None":
+    """The prewarmed-cache memo carried by ``trace``, or None when the
+    trace cache is off.
+
+    Every cell of an app runs the same cached trace, and the warm state
+    depends only on the app's regions and the cache geometry, so the
+    memo rides on the trace the way its SoA decode does
+    (:mod:`repro.cpu.soa`): it lives exactly as long as the trace cache
+    keeps the trace, and ``shared_cache().clear()`` drops it.
+    """
+    if shared_cache().capacity == 0:
+        return None
+    # setdefault: threads racing on one trace still share one memo.
+    return trace.__dict__.setdefault("_warm", {})
 
 
 def build_cpu_core(
@@ -107,11 +130,13 @@ def build_cpu_core(
     profile: AppProfile,
     name: str = "cpu.core0",
     tracer=None,
+    warm: "dict | None" = None,
 ) -> OutOfOrderCore:
     """A fresh detailed core for ``design``, its caches prewarmed for
-    ``profile`` -- the core every :func:`simulate_cpu` cell runs on."""
+    ``profile`` -- the core every :func:`simulate_cpu` cell runs on.
+    ``warm`` is the warm-state memo to restore from (:func:`warm_memo`)."""
     hierarchy = design.build_hierarchy(mem_intensity=profile.mem_intensity)
-    _prewarm(hierarchy, profile)
+    _prewarm(hierarchy, profile, warm)
     config = CoreConfig(
         freq_ghz=design.freq_ghz,
         resources=design.resources(),
@@ -142,19 +167,22 @@ def simulate_cpu(
     """
     profile = cpu_app(app) if isinstance(app, str) else app
 
+    @cache
+    def trace_factory(core_idx: int):
+        # Cached: the N configurations of a sweep share one trace per
+        # (profile, length, seed) -- generation is deterministic and the
+        # engines treat trace arrays as read-only.  Memoised per cell so
+        # the core factory's warm-state lookup is not a second fetch.
+        return cached_trace(profile, instructions, seed=seed + core_idx)
+
     def core_factory(core_idx: int, n_cores: int) -> OutOfOrderCore:
         return build_cpu_core(
             design,
             profile,
             name=f"cpu.core{core_idx}",
             tracer=tracer if core_idx == 0 else None,
+            warm=warm_memo(trace_factory(core_idx)),
         )
-
-    def trace_factory(core_idx: int):
-        # Cached: the N configurations of a sweep share one trace per
-        # (profile, length, seed) -- generation is deterministic and the
-        # engines treat trace arrays as read-only.
-        return cached_trace(profile, instructions, seed=seed + core_idx)
 
     multicore = run_multicore(
         core_factory,
@@ -203,11 +231,11 @@ def simulate_cpu_batch(
     SIMT lockstep the way the GPU scoreboard can, so cells execute
     sequentially -- but the batch still amortises what is shareable:
     the trace cache hands every cell of an app the same trace objects
-    and the SoA decode (:mod:`repro.cpu.soa`) memoised on them, so the
-    per-run unboxing PR 5 paid once per (config, core) is paid once per
-    app.  Results are byte-identical to calling :func:`simulate_cpu`
-    per cell; a raising cell yields ``error`` while its siblings
-    complete.
+    and the SoA decode (:mod:`repro.cpu.soa`) and warm cache state
+    (:func:`warm_memo`) memoised on them, so the per-run unboxing and
+    cache prewarm are paid once per app, not once per (config, core).
+    Results are byte-identical to calling :func:`simulate_cpu` per cell;
+    a raising cell yields ``error`` while its siblings complete.
     """
     outcomes: "list[CpuCellOutcome]" = []
     for design, app in cells:

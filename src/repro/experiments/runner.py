@@ -381,22 +381,34 @@ class SweepRunner:
             return
         self.telemetry.record_store("puts")
 
-    def lookup_cached(self, run_kind: str, key: tuple):
-        """The cached result for a cell, consulting the durable store.
+    def cached_result(self, run_kind: str, key: tuple):
+        """The result the caches hold for a cell, or None.
 
-        Returns None when neither the in-memory cache nor the store has
-        it.  A store hit is promoted into the memory cache, so callers
-        (the fabric coordinator's pre-pass, the job service) can keep
-        reading the caches directly afterwards.
+        Consults the memory cache, then the durable store.  A store hit
+        is promoted into the memory cache and supersedes any gap
+        recorded for the cell.  Counts nothing: the caller records the
+        hit (:meth:`record_cache_hit`) once it serves the result.
         """
         cache = self._cache_for(run_kind)
-        if key in cache:
-            return cache[key]
-        stored = self._store_fetch(run_kind, key)
-        if stored is not None:
-            with self._lock:
-                cache[key] = stored
-        return stored
+        cached = cache.get(key)
+        if cached is None:
+            cached = self._store_fetch(run_kind, key)
+            if cached is not None:
+                with self._lock:
+                    cache[key] = cached
+                    self.failures.pop((run_kind, *key), None)
+        return cached
+
+    def record_cache_hit(self, run_kind: str, key: tuple, result=None) -> None:
+        """Count one cell served without executing it, with ``result``'s
+        instruction count (0 for a repeat of a cell still queued)."""
+        instructions = (
+            0 if result is None else self._instructions_of(run_kind, result)
+        )
+        with self._lock:
+            self.telemetry.record_run(
+                run_kind, key[0], key[1], 0.0, instructions, cached=True,
+            )
 
     # -- guarded execution ---------------------------------------------
     def _validated(self, run_kind: str, config_name: str, workload: str):
@@ -479,29 +491,16 @@ class SweepRunner:
         cell executes once; each repeat counts as the cache hit a later
         lookup would be.
         """
-        cache = self._cache_for(run_kind)
         todo: "list[tuple]" = []
         queued: "set[tuple]" = set()
         for config_name, workload, extra in cells:
             key = (config_name, workload, *extra)
-            cached = cache.get(key)
-            if cached is None and key not in queued:
-                cached = self._store_fetch(run_kind, key)
-                if cached is not None:
-                    with self._lock:
-                        cache[key] = cached
-                        # A durably stored success supersedes any gap.
-                        self.failures.pop((run_kind, *key), None)
-            if cached is not None or key in queued:
-                instructions = (
-                    0 if cached is None
-                    else self._instructions_of(run_kind, cached)
-                )
-                with self._lock:
-                    self.telemetry.record_run(
-                        run_kind, config_name, workload, 0.0, instructions,
-                        cached=True,
-                    )
+            if key in queued:
+                self.record_cache_hit(run_kind, key)
+                continue
+            cached = self.cached_result(run_kind, key)
+            if cached is not None:
+                self.record_cache_hit(run_kind, key, cached)
                 continue
             try:
                 design = self._validated(run_kind, config_name, workload)

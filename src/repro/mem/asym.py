@@ -14,9 +14,10 @@ models the BaseCMOS-Enh variant of Table IV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
-from repro.mem.cache import Cache, CacheStats
+from repro.mem.cache import Cache, CacheSnapshot, CacheStats
 
 
 @dataclass
@@ -66,6 +67,16 @@ class AsymStats:
         registry.probe(f"{prefix}.misses", lambda: self.misses)
         registry.probe(f"{prefix}.line_moves", lambda: self.line_moves)
         registry.probe(f"{prefix}.accesses", lambda: self.accesses)
+
+
+class AsymSnapshot(NamedTuple):
+    """An :class:`AsymmetricL1`'s state, frozen by
+    :meth:`AsymmetricL1.snapshot`."""
+
+    fast: CacheSnapshot
+    slow: CacheSnapshot
+    #: :class:`AsymStats` fields in declaration order.
+    stats: "tuple[int, ...]"
 
 
 class AsymmetricL1:
@@ -154,6 +165,26 @@ class AsymmetricL1:
     def invalidate_all(self) -> None:
         self.fast.invalidate_all()
         self.slow.invalidate_all()
+
+    @property
+    def geometry(self) -> tuple:
+        """Both partitions' geometries.  Latencies do not shape the
+        state, so AdvHet and BaseCMOS-Enh DL1s share snapshots."""
+        return "asym", self.fast.geometry, self.slow.geometry
+
+    def snapshot(self) -> AsymSnapshot:
+        """Freeze both partitions and the asymmetric counters."""
+        return AsymSnapshot(
+            self.fast.snapshot(), self.slow.snapshot(), astuple(self.stats)
+        )
+
+    def restore(self, snapshot: AsymSnapshot) -> None:
+        """Replace this DL1's state with ``snapshot``'s, exactly."""
+        self.fast.restore(snapshot.fast)
+        self.slow.restore(snapshot.slow)
+        stats = self.stats
+        (stats.fast_hits, stats.slow_hits, stats.misses,
+         stats.line_moves) = snapshot.stats
 
     def combined_stats(self) -> CacheStats:
         """A CacheStats view aggregating both partitions for reporting."""

@@ -7,8 +7,9 @@ real per-set recency state rather than sampling hit rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
+from typing import NamedTuple
 
 
 @dataclass
@@ -55,11 +56,27 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+class CacheSnapshot(NamedTuple):
+    """A cache's contents and counters, frozen by :meth:`Cache.snapshot`.
+
+    Immutable, so one snapshot can be restored into any number of caches
+    of the same geometry, from any thread.
+    """
+
+    #: Per set, the tags in recency order (MRU first).
+    tags: "tuple[tuple[int, ...], ...]"
+    #: Line numbers of the dirty resident lines.
+    dirty: "frozenset[int]"
+    #: :class:`CacheStats` fields in declaration order.
+    stats: "tuple[int, ...]"
+
+
 class Cache:
     """A set-associative, write-back, write-allocate cache.
 
     Each set keeps its lines in recency order (index 0 = MRU).  Dirty state
-    is tracked per line so writebacks can be counted for the energy model.
+    is tracked per line (one flat set of line numbers for the whole cache)
+    so writebacks can be counted for the energy model.
     """
 
     def __init__(
@@ -89,9 +106,10 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = n_sets - 1
         self._tag_shift = n_sets.bit_length() - 1
-        # Per set: list of tags in recency order, and a parallel dirty set.
+        # Per set: list of tags in recency order.  Dirty lines, by line
+        # number (``(tag << tag_shift) | set``), across all sets.
         self._tags: list[list[int]] = [[] for _ in range(n_sets)]
-        self._dirty: list[set[int]] = [set() for _ in range(n_sets)]
+        self._dirty: set[int] = set()
         self.stats = CacheStats()
 
     def _index_tag(self, addr: int) -> tuple[int, int]:
@@ -118,7 +136,7 @@ class Cache:
                 tags.remove(tag)
                 tags.insert(0, tag)
             if is_write:
-                self._dirty[set_idx].add(tag)
+                self._dirty.add(line)
             return True
         stats.misses += 1
         self._fill(set_idx, tag, is_write)
@@ -129,8 +147,9 @@ class Cache:
 
         Used where fill policy is decided elsewhere (asymmetric cache).
         """
-        set_idx, tag = self._index_tag(addr)
-        tags = self._tags[set_idx]
+        line = addr >> self._line_shift
+        tags = self._tags[line & self._set_mask]
+        tag = line >> self._tag_shift
         self.stats.accesses += 1
         if tag in tags:
             self.stats.hits += 1
@@ -138,22 +157,23 @@ class Cache:
                 tags.remove(tag)
                 tags.insert(0, tag)
             if is_write:
-                self._dirty[set_idx].add(tag)
+                self._dirty.add(line)
             return True
         self.stats.misses += 1
         return False
 
     def _fill(self, set_idx: int, tag: int, is_write: bool) -> None:
         tags = self._tags[set_idx]
+        dirty = self._dirty
         if len(tags) >= self.assoc:
-            victim = tags.pop()
+            victim = (tags.pop() << self._tag_shift) | set_idx
             self.stats.evictions += 1
-            if victim in self._dirty[set_idx]:
-                self._dirty[set_idx].discard(victim)
+            if victim in dirty:
+                dirty.discard(victim)
                 self.stats.writebacks += 1
         tags.insert(0, tag)
         if is_write:
-            self._dirty[set_idx].add(tag)
+            dirty.add((tag << self._tag_shift) | set_idx)
 
     def fill_range(self, base: int, size_bytes: int) -> None:
         """Read every line of ``[base, base + size_bytes)`` in ascending
@@ -178,7 +198,7 @@ class Cache:
         set_mask = self._set_mask
         tag_shift = self._tag_shift
         all_tags = self._tags
-        all_dirty = self._dirty
+        dirty = self._dirty
         stats = self.stats
         filled = n
         evictions = writebacks = 0
@@ -197,9 +217,9 @@ class Cache:
             keep = assoc - m
             if len(tags) > keep:
                 evictions += len(tags) - keep
-                dirty = all_dirty[set_idx]
                 if dirty:
                     for victim in tags[keep:]:
+                        victim = (victim << tag_shift) | set_idx
                         if victim in dirty:
                             dirty.discard(victim)
                             writebacks += 1
@@ -217,13 +237,14 @@ class Cache:
         Used by the asymmetric cache to move lines between the fast and slow
         partitions without charging hits/misses.
         """
-        set_idx, tag = self._index_tag(addr)
-        tags = self._tags[set_idx]
+        line = addr >> self._line_shift
+        tags = self._tags[line & self._set_mask]
+        tag = line >> self._tag_shift
         if tag not in tags:
             return False, False
         tags.remove(tag)
-        dirty = tag in self._dirty[set_idx]
-        self._dirty[set_idx].discard(tag)
+        dirty = line in self._dirty
+        self._dirty.discard(line)
         return True, dirty
 
     def insert(self, addr: int, dirty: bool = False) -> tuple[int | None, bool]:
@@ -233,27 +254,29 @@ class Cache:
         representative address of the evicted line (or None).  Statistics
         count the eviction/writeback but not a hit or miss.
         """
-        set_idx, tag = self._index_tag(addr)
+        line = addr >> self._line_shift
+        set_idx = line & self._set_mask
         tags = self._tags[set_idx]
+        tag = line >> self._tag_shift
+        all_dirty = self._dirty
         victim_addr: int | None = None
         victim_dirty = False
         if tag in tags:
             tags.remove(tag)
-            dirty = dirty or tag in self._dirty[set_idx]
+            dirty = dirty or line in all_dirty
         elif len(tags) >= self.assoc:
-            victim = tags.pop()
+            victim_line = (tags.pop() << self._tag_shift) | set_idx
             self.stats.evictions += 1
-            victim_dirty = victim in self._dirty[set_idx]
-            self._dirty[set_idx].discard(victim)
+            victim_dirty = victim_line in all_dirty
             if victim_dirty:
+                all_dirty.discard(victim_line)
                 self.stats.writebacks += 1
-            victim_line = (victim << self._tag_shift) | set_idx
             victim_addr = victim_line << self._line_shift
         tags.insert(0, tag)
         if dirty:
-            self._dirty[set_idx].add(tag)
+            all_dirty.add(line)
         else:
-            self._dirty[set_idx].discard(tag)
+            all_dirty.discard(line)
         return victim_addr, victim_dirty
 
     def probe(self, addr: int) -> bool:
@@ -274,9 +297,53 @@ class Cache:
 
     def invalidate_all(self) -> None:
         """Drop every line (statistics are preserved)."""
-        for s in range(self.n_sets):
-            self._tags[s].clear()
-            self._dirty[s].clear()
+        for tags in self._tags:
+            tags.clear()
+        self._dirty.clear()
+
+    @property
+    def geometry(self) -> "tuple[int, int, int]":
+        """``(size_bytes, assoc, line_bytes)``: what a snapshot needs to
+        match to be restored here (the name does not matter)."""
+        return self.size_bytes, self.assoc, self.line_bytes
+
+    def snapshot(self) -> CacheSnapshot:
+        """Freeze the contents, LRU order, dirty lines and counters.
+
+        Equal per-set tag tuples are stored once and every tag int is
+        interned, so a warm 8 MB L3 -- whose sets mostly hold the same
+        tags -- costs a few distinct tuples, and the lists
+        :meth:`restore` builds share the snapshot's int objects.
+        """
+        tuples: "dict[tuple[int, ...], tuple[int, ...]]" = {}
+        ints: "dict[int, int]" = {}
+        tags = []
+        for set_tags in map(tuple, self._tags):
+            frozen = tuples.get(set_tags)
+            if frozen is None:
+                frozen = tuple([ints.setdefault(t, t) for t in set_tags])
+                tuples[frozen] = frozen
+            tags.append(frozen)
+        return CacheSnapshot(
+            tuple(tags), frozenset(self._dirty), astuple(self.stats)
+        )
+
+    def restore(self, snapshot: CacheSnapshot) -> None:
+        """Replace this cache's state with ``snapshot``'s, exactly.
+
+        The stats object is updated in place, so probes already
+        published on it keep reading this cache.
+        """
+        if len(snapshot.tags) != self.n_sets:
+            raise ValueError(
+                f"{self.name}: snapshot has {len(snapshot.tags)} sets, "
+                f"cache has {self.n_sets}"
+            )
+        self._tags = list(map(list, snapshot.tags))
+        self._dirty = set(snapshot.dirty)
+        stats = self.stats
+        (stats.accesses, stats.hits, stats.misses, stats.evictions,
+         stats.writebacks) = snapshot.stats
 
     @property
     def resident_lines(self) -> int:

@@ -132,7 +132,9 @@ class MemoryHierarchy:
             return base
         return round(base * self.contention.latency_multiplier())
 
-    def prewarm_region(self, base: int, size_bytes: int, into_l1: bool = False) -> None:
+    def prewarm_region(
+        self, base: int, size_bytes: int, into_l1: bool = False, skip=()
+    ) -> None:
         """Functionally warm a data region before timed simulation.
 
         Sampled-simulation methodology (SMARTS-style functional warming):
@@ -141,13 +143,54 @@ class MemoryHierarchy:
         and L2 (capacity permitting) and optionally the DL1 for every line
         of ``[base, base + size_bytes)``.  The caches are independent
         here (plain reads, no prefetch), so each fills the whole range in
-        one :meth:`~repro.mem.cache.Cache.fill_range` call.
+        one :meth:`~repro.mem.cache.Cache.fill_range` call.  Caches in
+        ``skip`` already hold their warm state (see :meth:`prewarm`) and
+        are left alone.
         """
-        self.l3.fill_range(base, size_bytes)
-        if size_bytes <= self.l2.size_bytes:
+        if self.l3 not in skip:
+            self.l3.fill_range(base, size_bytes)
+        if size_bytes <= self.l2.size_bytes and self.l2 not in skip:
             self.l2.fill_range(base, size_bytes)
-        if into_l1:
+        if into_l1 and self.dl1 not in skip:
             self.dl1.fill_range(base, size_bytes)
+
+    def prewarm(self, regions, memo: "dict | None" = None) -> None:
+        """Warm freshly built caches with ``regions`` -- ``(base,
+        size_bytes, into_l1)`` triples, in order -- exactly as one
+        :meth:`prewarm_region` call per region would.
+
+        With a ``memo`` dict, L3, L2 and DL1 each look up their warm
+        state under their geometry plus the ordered ``(base, size)``
+        fills they receive; that pair determines the state, so one L3/L2
+        entry serves plain and asymmetric DL1s alike.  A hit is restored;
+        only the caches that miss are filled (through
+        :meth:`prewarm_region`), and their snapshots are memoised.
+        """
+        fills = {
+            self.l3: tuple((b, s) for b, s, _ in regions),
+            self.l2: tuple(
+                (b, s) for b, s, _ in regions if s <= self.l2.size_bytes
+            ),
+            self.dl1: tuple((b, s) for b, s, into_l1 in regions if into_l1),
+        }
+        restored = set()
+        if memo is not None:
+            for cache, received in fills.items():
+                snapshot = memo.get((cache.geometry, received))
+                if snapshot is not None:
+                    cache.restore(snapshot)
+                    restored.add(cache)
+        needed = {
+            fill for cache, received in fills.items() if cache not in restored
+            for fill in received
+        }
+        for base, size_bytes, into_l1 in regions:
+            if (base, size_bytes) in needed:
+                self.prewarm_region(base, size_bytes, into_l1, skip=restored)
+        if memo is not None:
+            for cache, received in fills.items():
+                if cache not in restored:
+                    memo.setdefault((cache.geometry, received), cache.snapshot())
 
     def reset_stats(self) -> None:
         """Zero all counters (cache contents are preserved for warm state)."""

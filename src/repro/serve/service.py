@@ -407,9 +407,8 @@ class SimService:
                     "breaker_open", breaker.reject_detail(),
                     retry_after_s=eta,
                 ), "shed"
-        cached = self.runner.lookup_cached(
-            job.run_kind, (job.config, job.workload, *job.extra)
-        )
+        cell = (job.config, job.workload, *job.extra)
+        cached = self.runner.cached_result(job.run_kind, cell)
         if cached is not None:
             with self._lock:
                 previous = self._records.get(job.job_id)
@@ -438,9 +437,7 @@ class SimService:
             self.telemetry.record_serve("served_from_cache")
             # The same cache-hit accounting run_cell would have done had
             # the job been dispatched -- resume flows assert on it.
-            self.telemetry.record_run(
-                job.run_kind, job.config, job.workload, 0.0, 0, cached=True
-            )
+            self.runner.record_cache_hit(job.run_kind, cell, cached)
             self._write_health()
             return job.job_id, Admission.ok(), "cached"
         job_id, admission = self.submit(job)

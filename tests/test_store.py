@@ -130,16 +130,40 @@ def test_store_hit_serves_without_engine_invocation(store_root, monkeypatch):
     assert second.telemetry.cache_counts()["cpu"] == (1, 0)
 
 
-def test_lookup_cached_promotes_store_hits(store_root):
+def test_cached_result_promotes_store_hits(store_root):
     first = make_runner(store=store_root)
     original = first.cpu_run("BaseCMOS", "lu")
 
     second = make_runner(store=store_root)
     key = ("BaseCMOS", "lu")
-    assert second.lookup_cached("cpu", key) == original
+    assert second.cached_result("cpu", key) == original
     assert second._cpu_cache[key] == original  # promoted
-    assert second.lookup_cached("cpu", key) == original
+    assert second.cached_result("cpu", key) == original
     assert second.telemetry.store_counts() == {"hits": 1}  # only once
+
+
+def test_served_store_hit_clears_gap_and_counts_instructions(store_root):
+    from repro.resilience import RunFailure
+    from repro.serve import SimService
+
+    original = make_runner(store=store_root).cpu_run("BaseCMOS", "lu")
+    runner = make_runner(store=store_root)
+    runner.record_gap(RunFailure(
+        run_kind="cpu", config="BaseCMOS", workload="lu", kind="crash",
+        attempts=1, message="earlier attempt",
+    ))
+    events = []
+    runner.telemetry.on_progress(events.append)
+    service = SimService(runner)
+    _, admission, outcome = service.submit_idempotent(
+        {"id": "a", "run_kind": "cpu", "config": "BaseCMOS", "workload": "lu"}
+    )
+    assert admission.admitted and outcome == "cached"
+    assert ("cpu", "BaseCMOS", "lu") not in runner.failures
+    assert runner.telemetry.cache_counts()["cpu"] == (1, 0)
+    assert [(e["cached"], e["instructions"]) for e in events] == [
+        (True, original.core.committed)
+    ]
 
 
 def test_runner_reads_store_root_from_env(store_root, monkeypatch):
