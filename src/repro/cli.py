@@ -24,20 +24,21 @@ Commands
 [--isolation {thread,process}] [--json]``
     Run a resilient (configuration x workload) sweep: failed cells
     degrade to recorded gaps (retried up to ``--max-retries`` times with
-    backoff, killed after ``--timeout`` seconds each), the result caches
-    persist to ``--checkpoint`` after every executed run, and
-    ``--resume`` preloads a matching checkpoint so only missing cells
-    execute.  ``--workers N`` with ``--isolation process`` (implied for
-    N > 1) runs cells in parallel supervised worker processes: hung
-    attempts are SIGKILLed at the timeout and a crashing worker costs
-    one cell, not the sweep; the report is byte-identical to a serial
-    run.  Exit status: 0 = complete, 3 = completed with gaps.
-    SIGTERM (and SIGINT) flush the checkpoint before exiting: SIGTERM
-    exits 3 (gaps), matching a sweep that completed with missing cells,
-    SIGINT exits 130.  ``--store DIR`` (or ``$REPRO_STORE``) reads
-    cache misses through a durable content-addressed result store and
-    writes executed cells back: identical cells across runs, machines,
-    and entry points never touch a cycle engine twice.
+    backoff, killed after ``--timeout`` seconds each), every executed
+    cell is saved to ``--checkpoint`` (a result-store directory) as it
+    commits, and ``--resume`` serves the cells a matching checkpoint
+    holds so only missing cells execute.  ``--workers N`` with
+    ``--isolation process`` (implied for N > 1) runs cells in parallel
+    supervised worker processes: hung attempts are SIGKILLed at the
+    timeout and a crashing worker costs one cell, not the sweep; the
+    report is byte-identical to a serial run.  Exit status:
+    0 = complete, 3 = completed with gaps.  SIGTERM exits 3 (gaps),
+    matching a sweep that completed with missing cells; SIGINT exits
+    130.  A ``--checkpoint`` that is an existing regular file exits 2.
+    ``--store DIR`` (or ``$REPRO_STORE``) reads cache misses through a
+    durable content-addressed result store and writes executed cells
+    back: identical cells across runs, machines, and entry points never
+    touch a cycle engine twice.
 ``serve --jobs FILE [--follow] [--workers N] [--isolation {thread,process}]
 [--queue-capacity N] [--breaker-threshold N] [--breaker-recovery S]
 [--drain-deadline S] [--checkpoint PATH] [--resume] [--timeout S]
@@ -49,9 +50,8 @@ Commands
     service drains the file and exits.  Saturation, per-job deadlines,
     and open circuit breakers shed jobs with structured reasons (never
     silent drops); SIGTERM stops admissions, drains in-flight workers
-    within ``--drain-deadline``, flushes the checkpoint, and records
-    unfinished jobs as gaps.  Exit status: 0 = everything served,
-    3 = gaps (failed or shed jobs).
+    within ``--drain-deadline``, and records unfinished jobs as gaps.
+    Exit status: 0 = everything served, 3 = gaps (failed or shed jobs).
 ``serve --health [--health-file PATH]``
     Dump the service's latest liveness/readiness snapshot (queue depth,
     breaker states, served/shed counters) from its health file.
@@ -63,7 +63,7 @@ Commands
     consistent-hashed onto nodes, dead nodes (heartbeat timeout or
     connection loss) have their in-flight cells resubmitted to
     survivors exactly once (epoch fencing rejects zombie results), and
-    SIGTERM drains the whole fleet through every node's checkpoint.
+    SIGTERM drains the whole fleet.
     The report is byte-identical to a serial ``sweep`` of the same
     cells.  Exit status matches ``sweep``: 0 = complete, 3 = gaps.
 ``fabric node --connect HOST:PORT [--name NAME] [--workers N]
@@ -110,6 +110,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.resilience import GuardPolicy, SweepError, faults
+from repro.resilience.checkpoint import check_checkpoint_path
 from repro.obs.stats import collect_cpu_stats, collect_gpu_stats, format_stats
 from repro.obs.trace import PipelineTracer
 from repro.workloads import CPU_APPS, GPU_KERNELS
@@ -325,6 +326,18 @@ class _SweepTerminated(BaseException):
     """
 
 
+def _checkpoint_error(args: argparse.Namespace) -> "str | None":
+    """Why ``--checkpoint``/``--resume`` cannot be used, or None."""
+    if args.resume and not args.checkpoint:
+        return "--resume requires --checkpoint PATH"
+    if args.checkpoint:
+        try:
+            check_checkpoint_path(args.checkpoint)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     known = GPU_CONFIGS if args.gpu else CPU_CONFIGS
     unknown = [n for n in args.configs if n not in known]
@@ -335,8 +348,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint PATH", file=sys.stderr)
+    error = _checkpoint_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
@@ -378,14 +392,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     args.configs, workers=args.workers, isolation=args.isolation
                 )
         except SweepError as exc:
-            runner.save_checkpoint()
             print(f"sweep aborted (--fail-fast): {exc}", file=sys.stderr)
             return 1
         except _SweepTerminated:
-            # SIGTERM = an orchestrator asking for an orderly stop: flush
-            # the checkpoint and report "completed with gaps" (exit 3),
-            # so `--checkpoint ... --resume` serves exactly the rest.
-            runner.save_checkpoint()
+            # SIGTERM = an orchestrator asking for an orderly stop: report
+            # "completed with gaps" (exit 3); every finished cell is
+            # already saved, so `--checkpoint ... --resume` runs the rest.
             hint = (
                 f"; rerun with --checkpoint {args.checkpoint} --resume "
                 f"to continue"
@@ -395,13 +407,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"\nsweep terminated (SIGTERM){hint}", file=sys.stderr)
             return 3
         except KeyboardInterrupt:
-            runner.save_checkpoint()
             interrupted = True
             results = {}
     finally:
         if old_sigterm is not None:
             signal.signal(signal.SIGTERM, old_sigterm)
-    saved = runner.save_checkpoint()
     failures = list(runner.failures.values())
     if interrupted:
         hint = (
@@ -450,7 +460,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(failure_table(failures))
         print(runner.telemetry.cache_summary())
         if args.checkpoint:
-            print(f"checkpoint: {args.checkpoint} ({saved} entries)")
+            print(f"checkpoint: {args.checkpoint}")
     return 3 if failures else 0
 
 
@@ -498,8 +508,9 @@ def _cmd_fabric_coordinator(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint PATH", file=sys.stderr)
+    error = _checkpoint_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     host, port = _parse_hostport(args.listen)
     runner = SweepRunner(
@@ -647,8 +658,9 @@ def _cmd_fabric_coordinator(args: argparse.Namespace) -> int:
 def _cmd_fabric_node(args: argparse.Namespace) -> int:
     from repro.fabric import FabricNode, NodeConfig
 
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint PATH", file=sys.stderr)
+    error = _checkpoint_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     if args.workers > 1 and args.isolation == "thread":
         print(
@@ -765,8 +777,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve requires --jobs FILE (or --http HOST:PORT, or --health)",
               file=sys.stderr)
         return 2
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint PATH", file=sys.stderr)
+    error = _checkpoint_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     obs_requested = bool(args.obs_log or args.trace_out)
     obs_was_enabled = obs.enabled()
@@ -1074,11 +1087,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_sweep.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist result caches here after every executed run",
+        help="save each executed cell to this checkpoint directory",
     )
     p_sweep.add_argument(
         "--resume", action="store_true",
-        help="preload a matching checkpoint; only missing cells execute",
+        help="serve cells from the checkpoint; only missing cells execute",
     )
     p_sweep.add_argument(
         "--store", metavar="DIR", default=None,
@@ -1152,11 +1165,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_serve.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist result caches here after every served job",
+        help="save each served cell to this checkpoint directory",
     )
     p_serve.add_argument(
         "--resume", action="store_true",
-        help="preload a matching checkpoint; cached cells serve instantly",
+        help="serve cells from the checkpoint; cached cells serve instantly",
     )
     p_serve.add_argument(
         "--store", metavar="DIR", default=None,
@@ -1351,11 +1364,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_coord.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist the authoritative result caches here",
+        help="save each merged cell to this checkpoint directory",
     )
     p_coord.add_argument(
         "--resume", action="store_true",
-        help="preload a matching checkpoint; cached cells never leave "
+        help="serve cells from the checkpoint; cached cells never leave "
         "the coordinator",
     )
     p_coord.add_argument(
@@ -1440,11 +1453,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_node.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist this node's result caches here",
+        help="save each cell this node runs to this checkpoint directory",
     )
     p_node.add_argument(
         "--resume", action="store_true",
-        help="preload a matching checkpoint on startup",
+        help="serve cells from the checkpoint",
     )
     p_node.add_argument(
         "--store", metavar="DIR", default=None,

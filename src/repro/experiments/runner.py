@@ -31,10 +31,12 @@ methods (``cpu_run`` etc.) but degrades to a recorded gap (``None`` cell,
 inside ``cpu_sweep``/``gpu_sweep``/``dvfs_cell`` -- unless the policy says
 ``fail_fast``.
 
-Attach a checkpoint path to persist the caches across interruptions:
-results are saved (versioned JSON, integrity-hashed, keyed on the
-settings fingerprint) after every executed run, and ``resume=True``
-preloads them so a rerun executes only the missing cells.
+Attach a checkpoint path to persist results across interruptions: the
+checkpoint is a result store at that path
+(:class:`~repro.resilience.checkpoint.SweepCheckpoint`), each executed
+cell is saved to it as one durable object the moment it commits, and
+``resume=True`` reads cells through it so a rerun executes only the
+missing cells.
 
 Isolation and parallelism
 -------------------------
@@ -236,8 +238,9 @@ class SweepRunner:
 
     ``policy`` sets the per-run guard budget (timeout, retries, backoff,
     fail-fast); ``checkpoint`` (a path or :class:`SweepCheckpoint`)
-    persists the caches after every executed run, and ``resume=True``
-    preloads whatever a matching checkpoint already holds.
+    durably saves every executed cell, and ``resume=True`` serves cache
+    misses from whatever the checkpoint already holds.  A path that is an
+    existing regular file raises ``ValueError``.
 
     ``store`` (a path or :class:`~repro.store.cas.ResultStore`; default
     from ``REPRO_STORE``) plugs in the durable content-addressed result
@@ -279,124 +282,115 @@ class SweepRunner:
         self.failures: "dict[tuple, RunFailure]" = {}
         #: Serialises cache/failure/telemetry/checkpoint mutations so the
         #: job service can run concurrent dispatcher threads against one
-        #: runner.  Reentrant: merge paths flush the checkpoint inline.
+        #: runner.  Reentrant: merge paths save to the checkpoint inline.
         self._lock = threading.RLock()
         #: In-flight process pools, abortable via :meth:`abort_active_pools`.
         self._active_pools: set = set()
         self._zombie_warned = False
-        if checkpoint is None:
-            self.checkpoint = None
-        elif isinstance(checkpoint, SweepCheckpoint):
-            self.checkpoint = checkpoint
-        else:
-            self.checkpoint = SweepCheckpoint(checkpoint)
-        if resume:
-            if self.checkpoint is None:
-                raise ValueError("resume=True requires a checkpoint")
-            self._load_checkpoint()
+        if resume and checkpoint is None:
+            raise ValueError("resume=True requires a checkpoint")
+        if isinstance(checkpoint, (str, os.PathLike)):
+            checkpoint = SweepCheckpoint(checkpoint)
+        self.checkpoint = checkpoint
+        self.resume = resume
 
-    # -- checkpointing -------------------------------------------------
-    def _load_checkpoint(self) -> None:
-        data = self.checkpoint.load(self.settings.fingerprint())
-        if data is None:
-            self.telemetry.record_checkpoint("invalid")
-            return
-        self._cpu_cache.update(data.cpu)
-        self._gpu_cache.update(data.gpu)
-        self._dvfs_cache.update(data.dvfs)
-        # Past failures inform reporting but are NOT re-recorded as gaps:
-        # the whole point of resuming is to retry exactly those cells.
-        self.telemetry.record_checkpoint("load")
-        self.telemetry.record_checkpoint("entries_loaded", data.entries)
+    # -- durable tiers: the result store and the checkpoint -------------
+    #: The telemetry event each durable tier counts per outcome of a
+    #: read or write; an outcome a tier does not name goes uncounted.
+    _TIER_EVENTS = {
+        "store": {"hit": "hits", "miss": "misses", "read_error": "errors",
+                  "put": "puts", "write_failed": "errors"},
+        "checkpoint": {"hit": "entries_loaded", "put": "save",
+                       "write_failed": "write_failed"},
+    }
 
-    def save_checkpoint(self) -> int:
-        """Persist the caches now; returns entries written (0 = no path).
+    def _count(self, tier: str, outcome: str) -> None:
+        event = self._TIER_EVENTS[tier].get(outcome)
+        if event is not None:
+            with self._lock:
+                getattr(self.telemetry, f"record_{tier}")(event)
 
-        A write failure (full disk, injected EIO/ENOSPC, ...) degrades
-        to a recorded ``write_failed`` event: losing one flush costs
-        re-execution on resume, never the sweep in progress.
-        """
-        if self.checkpoint is None:
-            return 0
-        with self._lock:
-            try:
-                count = self.checkpoint.save(
-                    self.settings.fingerprint(),
-                    {
-                        "cpu": self._cpu_cache,
-                        "gpu": self._gpu_cache,
-                        "dvfs": self._dvfs_cache,
-                    },
-                    list(self.failures.values()),
-                )
-            except OSError as exc:
-                self.telemetry.record_checkpoint("write_failed")
-                get_event_log().emit(
-                    "checkpoint.write_failed", error=str(exc),
-                )
-                return 0
-            self.telemetry.record_checkpoint("save")
-            get_event_log().emit(
-                "checkpoint.flush", entries=count,
-                failures=len(self.failures),
-            )
-        return count
-
-    # -- durable result store ------------------------------------------
-    def _store_fetch(self, run_kind: str, key: tuple):
-        """Read one cell through the durable store; None on miss/error."""
-        if self.store is None:
+    def _durable_get(self, tier: str, run_kind: str, key: tuple):
+        """Read one cell from ``tier`` (``"store"`` or ``"checkpoint"``);
+        None when the tier is absent, misses, or fails to read."""
+        store = getattr(self, tier)
+        if store is None:
             return None
         config_name, workload, *extra = key
         try:
-            result = self.store.get(
+            result = store.get(
                 self.settings.fingerprint(), run_kind, config_name,
                 workload, tuple(extra),
             )
         except OSError:
-            self.telemetry.record_store("errors")
+            self._count(tier, "read_error")
             return None
-        if result is None:
-            self.telemetry.record_store("misses")
-            return None
-        self.telemetry.record_store("hits")
+        self._count(tier, "miss" if result is None else "hit")
         return result
 
-    def _store_put(self, run_kind: str, key: tuple, result) -> None:
-        """Best-effort durable write-back of one executed cell."""
-        if self.store is None:
+    def _durable_put(self, tier: str, run_kind: str, key: tuple, result) -> None:
+        """Durably write one cell to ``tier``, if it is attached.
+
+        Best-effort: a write failure (full disk, injected EIO/ENOSPC,
+        ...) degrades to a counted ``<tier>.write_failed`` event.  It
+        costs that cell a re-execution later, never the sweep in
+        progress.
+        """
+        store = getattr(self, tier)
+        if store is None:
             return
         config_name, workload, *extra = key
+        # The checkpoint writes through ``save`` so profiles tell its
+        # flushes apart from store writes.
+        write = store.save if tier == "checkpoint" else store.put
         try:
-            self.store.put(
+            write(
                 self.settings.fingerprint(), run_kind, config_name,
                 workload, tuple(extra), result,
             )
         except OSError as exc:
-            self.telemetry.record_store("errors")
+            self._count(tier, "write_failed")
             get_event_log().emit(
-                "store.write_failed", run_kind=run_kind,
+                f"{tier}.write_failed", run_kind=run_kind,
                 config=config_name, workload=workload, error=str(exc),
             )
             return
-        self.telemetry.record_store("puts")
+        self._count(tier, "put")
+        if tier == "checkpoint":
+            get_event_log().emit(
+                "checkpoint.flush", run_kind=run_kind, config=config_name,
+                workload=workload,
+            )
 
     def cached_result(self, run_kind: str, key: tuple):
         """The result the caches hold for a cell, or None.
 
-        Consults the memory cache, then the durable store.  A store hit
-        is promoted into the memory cache and supersedes any gap
-        recorded for the cell.  Counts nothing: the caller records the
-        hit (:meth:`record_cache_hit`) once it serves the result.
+        Consults the memory cache, then the checkpoint (on resume), then
+        the durable store.  A checkpoint or store hit is promoted into
+        the memory cache and supersedes any gap recorded for the cell; a
+        store hit is also saved to the checkpoint, so resuming from the
+        checkpoint alone serves every cell this runner held.  Counts
+        only the tiers' own events: the caller records the hit
+        (:meth:`record_cache_hit`) once it serves the result.
         """
         cache = self._cache_for(run_kind)
         cached = cache.get(key)
-        if cached is None:
-            cached = self._store_fetch(run_kind, key)
-            if cached is not None:
-                with self._lock:
-                    cache[key] = cached
-                    self.failures.pop((run_kind, *key), None)
+        if cached is not None:
+            return cached
+        cached = (
+            self._durable_get("checkpoint", run_kind, key)
+            if self.resume else None
+        )
+        from_store = cached is None
+        if from_store:
+            cached = self._durable_get("store", run_kind, key)
+            if cached is None:
+                return None
+        with self._lock:
+            cache[key] = cached
+            self.failures.pop((run_kind, *key), None)
+            if from_store:
+                self._durable_put("checkpoint", run_kind, key, cached)
         return cached
 
     def record_cache_hit(self, run_kind: str, key: tuple, result=None) -> None:
@@ -514,7 +508,7 @@ class SweepRunner:
 
     def _commit(self, run_kind: str, key: tuple, result, wall_s: float):
         """Merge one executed success into the caches, telemetry, durable
-        store and checkpoint."""
+        store and checkpoint (one write each)."""
         with self._lock:
             self._cache_for(run_kind)[key] = result
             # A fresh success supersedes any gap recorded for this cell.
@@ -523,9 +517,8 @@ class SweepRunner:
                 run_kind, key[0], key[1], wall_s,
                 self._instructions_of(run_kind, result), cached=False,
             )
-            self._store_put(run_kind, key, result)
-            if self.checkpoint is not None:
-                self.save_checkpoint()
+            self._durable_put("store", run_kind, key, result)
+            self._durable_put("checkpoint", run_kind, key, result)
 
     def _run_cells(
         self, run_kind: str, cells: "list[tuple]", strict: bool = False
@@ -696,8 +689,9 @@ class SweepRunner:
 
     def record_gap(self, failure: RunFailure) -> None:
         """Record a gap (a failed cell, or an externally decided one such
-        as a shed or drained job) in the failure taxonomy, telemetry, and
-        the next checkpoint flush."""
+        as a shed or drained job) in the failure taxonomy and telemetry.
+        Gaps are not persisted: a resume re-executes every cell the
+        checkpoint does not hold."""
         with self._lock:
             self.failures[failure.cell] = failure
             self.telemetry.record_failure(failure)
@@ -746,8 +740,8 @@ class SweepRunner:
         """Execute the non-cached cells of a sweep in worker processes.
 
         ``cells`` is a list of (config, workload, extra) coordinates.
-        Completed results stream back and merge into the cache (with an
-        incremental checkpoint flush each), failures into
+        Completed results stream back and merge into the cache (each
+        saved to the checkpoint as it lands), failures into
         :attr:`failures` -- callers then assemble the returned mapping
         from the caches in deterministic cell order.
         """

@@ -15,7 +15,7 @@ Robustness invariants (see DESIGN.md for the walkthrough):
   and a zombie's late results.  A cell is merged at *least* once
   because every loss path (node death, dropped frame, task timeout,
   coordinator drain) either requeues the cell or records it as a
-  ``shed`` gap in the checkpoint -- never silence.
+  ``shed`` gap -- never silence.
 * **Epoch fencing.**  Every accepted session gets a strictly
   increasing epoch, stamped on each assignment and echoed on each
   result.  A node marked dead (heartbeat timeout) whose socket still
@@ -29,10 +29,11 @@ Robustness invariants (see DESIGN.md for the walkthrough):
   connection loss, whichever fires first; its in-flight cells are
   recorded as ``shed`` gaps (cleared if a resubmission later
   succeeds) and requeued in deterministic cell order.
-* **Drain.**  SIGTERM broadcasts ``drain``; every node flushes its
-  checkpoint, acks ``drained``, and the coordinator sheds whatever
-  never completed before flushing its own checkpoint -- a rerun
-  against the same checkpoint serves exactly the gaps.
+* **Drain.**  SIGTERM broadcasts ``drain``; every node finishes or
+  sheds its in-flight jobs and acks ``drained``, and the coordinator
+  sheds whatever never completed.  Each merged cell was saved to the
+  coordinator's checkpoint as it landed, so a rerun against the same
+  checkpoint serves exactly the gaps.
 
 Because simulation results are deterministic and the report is
 assembled from the runner caches in deterministic cell order, serial,
@@ -57,11 +58,11 @@ from repro.fabric.protocol import (
 )
 from repro.obs.events import get_event_log
 from repro.resilience import diskio, faults
-from repro.resilience.checkpoint import _CODECS
 from repro.resilience.errors import RunFailure
 from repro.resilience.guard import GuardOutcome
 from repro.resilience.pool import CellTask
 from repro.serve.health import HealthSnapshot, write_health
+from repro.store.cas import _CODECS
 
 
 @dataclass
@@ -598,7 +599,8 @@ class FabricCoordinator:
             self._check_done()
 
     async def _drain(self) -> None:
-        """Fleet-wide graceful drain: every node flushes its checkpoint."""
+        """Fleet-wide graceful drain: every node finishes or sheds its
+        in-flight jobs; cells nobody completed become gaps."""
         self._draining = True
         get_event_log().emit(
             "fabric.drain", nodes=len(self._alive_nodes()),
@@ -684,7 +686,6 @@ class FabricCoordinator:
                 await server.wait_closed()
             except Exception:
                 pass
-            self.runner.save_checkpoint()
         return self.summary()
 
     def summary(self) -> dict:

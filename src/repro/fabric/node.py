@@ -22,9 +22,9 @@ the new one at send time: they are real results from this same process,
 not zombie echoes (the zombie case is a session the *coordinator*
 declared dead, and it fences those by refusing the old epoch).
 
-Drain: a ``drain`` frame runs the service's graceful shutdown (flushes
-the runner checkpoint, records gaps for anything unfinished), sends the
-remaining buffered results, acks ``drained``, and exits.
+Drain: a ``drain`` frame runs the service's graceful shutdown (records
+gaps for anything unfinished), sends the remaining buffered results,
+acks ``drained``, and exits.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from repro.fabric.protocol import (
 )
 from repro.obs.events import get_event_log
 from repro.resilience import faults
-from repro.resilience.checkpoint import _CODECS
 from repro.resilience.errors import RunFailure
 from repro.resilience.guard import GuardPolicy, stable_seed
 from repro.serve.queue import Job
 from repro.serve.service import TERMINAL_STATES, ServiceConfig, SimService
+from repro.store.cas import _CODECS
 
 
 @dataclass

@@ -17,7 +17,7 @@ node -> coordinator:
   into the fleet view.
 * ``result``     -- ``{epoch, task_id, run_kind, config, workload,
   extra, ok, result | failure, wall_s}``: one terminal cell outcome.
-* ``drained``    -- ``{epoch}``: checkpoint flushed, node is quiescent.
+* ``drained``    -- ``{epoch}``: node is quiescent.
 
 coordinator -> node:
 
@@ -25,8 +25,7 @@ coordinator -> node:
   accepts the session and fences it with a fresh epoch.
 * ``assign``     -- ``{epoch, task_id, attempt, run_kind, config,
   workload, extra}``: run one cell.
-* ``drain``      -- flush checkpoint, finish in-flight, reply
-  ``drained``.
+* ``drain``      -- finish in-flight, reply ``drained``.
 * ``fenced``     -- the sender's session epoch is stale; reconnect.
 * ``bye``        -- sweep complete; the node may exit.
 

@@ -8,18 +8,12 @@
   Table III round-trip latencies for CMOS and TFET variants.
 * :mod:`repro.mem.contention` -- shared-L3/DRAM queueing uplift for
   multicore runs.
-* :mod:`repro.mem.ring` -- the bidirectional ring connecting cores and L3
-  slices (Table III).
-* :mod:`repro.mem.coherence` -- directory-based MESI protocol for the
-  shared L3 (Table III).
 """
 
 from repro.mem.cache import Cache, CacheStats
 from repro.mem.asym import AsymmetricL1
 from repro.mem.hierarchy import CacheLatencies, MemoryHierarchy, AccessResult
 from repro.mem.contention import SharedResourceContention
-from repro.mem.ring import RingNetwork
-from repro.mem.coherence import CoherenceActions, LineState, MesiDirectory
 
 __all__ = [
     "Cache",
@@ -29,8 +23,4 @@ __all__ = [
     "MemoryHierarchy",
     "AccessResult",
     "SharedResourceContention",
-    "RingNetwork",
-    "CoherenceActions",
-    "LineState",
-    "MesiDirectory",
 ]

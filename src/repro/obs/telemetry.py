@@ -347,11 +347,11 @@ class SweepTelemetry:
         """Record the service's current admitted-but-unstarted backlog."""
         self._scope.gauge("serve.queue_depth").set(depth)
 
-    def record_checkpoint(self, event: str, count: int = 1) -> None:
-        """Account checkpoint activity (``load``/``save``/``invalid``/
-        ``entries_loaded``/``entries_saved``)."""
-        self._checkpoint[event] = self._checkpoint.get(event, 0) + count
-        self._scope.counter(f"checkpoint.{event}").inc(count)
+    def record_checkpoint(self, event: str) -> None:
+        """Account one checkpoint event: a cell ``save``d, a
+        ``write_failed``, or a cell a resume served (``entries_loaded``)."""
+        self._checkpoint[event] = self._checkpoint.get(event, 0) + 1
+        self._scope.counter(f"checkpoint.{event}").inc()
 
     # -- aggregate views ----------------------------------------------
     def cache_counts(self) -> "dict[str, tuple[int, int]]":
@@ -371,7 +371,7 @@ class SweepTelemetry:
         return dict(self._failure_kinds)
 
     def checkpoint_counts(self) -> "dict[str, int]":
-        """Checkpoint events (load/save/invalid/entries_*) so far."""
+        """Checkpoint events (save/write_failed/entries_loaded) so far."""
         return dict(self._checkpoint)
 
     def pool_counts(self) -> "dict[str, int]":

@@ -11,9 +11,10 @@ point, not the sweep.  This package hardens
 * :mod:`repro.resilience.guard` -- per-run wall-clock timeouts and retry
   with exponential backoff + deterministic jitter (:class:`GuardPolicy`,
   :func:`run_guarded`);
-* :mod:`repro.resilience.checkpoint` -- versioned, integrity-hashed JSON
-  persistence of the runner caches keyed on a settings fingerprint, so
-  interrupted sweeps resume with only the missing cells re-executed;
+* :mod:`repro.resilience.checkpoint` -- the sweep checkpoint, a result
+  store at the ``--checkpoint`` path that durably holds each executed
+  cell the moment it commits, so interrupted sweeps resume with only the
+  missing cells re-executed;
 * :mod:`repro.resilience.pool` / :mod:`repro.resilience.worker` -- the
   process-isolated parallel executor: each cell attempt runs in a
   supervised worker process from a bounded pool, overrunning workers are
@@ -40,6 +41,10 @@ the simulators stay deterministic pure functions (the property the whole
 reproduction leans on), while the runner -- the only place that already
 knows about cells, caches, and telemetry -- owns everything about
 executing them unreliably-but-recoverably.
+
+:class:`SweepCheckpoint` is exported lazily: it subclasses the result
+store, and the store writes through :mod:`repro.resilience.diskio`, so
+an eager import here would make ``import repro.store.cas`` circular.
 """
 
 from repro.resilience.errors import (
@@ -56,13 +61,6 @@ from repro.resilience.guard import (
     run_guarded,
     stable_seed,
     zombie_thread_count,
-)
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointData,
-    CheckpointLock,
-    CheckpointLockTimeout,
-    SweepCheckpoint,
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.resilience.pool import CellTask, PoolAborted, SweepPool
@@ -84,10 +82,6 @@ __all__ = [
     "run_guarded",
     "stable_seed",
     "zombie_thread_count",
-    "CHECKPOINT_VERSION",
-    "CheckpointData",
-    "CheckpointLock",
-    "CheckpointLockTimeout",
     "SweepCheckpoint",
     "FaultInjector",
     "FaultPlan",
@@ -99,3 +93,11 @@ __all__ = [
     "check_gpu_result",
     "validate_result",
 ]
+
+
+def __getattr__(name):
+    if name == "SweepCheckpoint":
+        from repro.resilience.checkpoint import SweepCheckpoint
+
+        return SweepCheckpoint
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,400 +1,59 @@
-"""On-disk checkpointing of SweepRunner result caches.
+"""The sweep checkpoint: a result store at the ``--checkpoint`` path.
 
-A checkpoint is a single versioned JSON document::
+A checkpoint is a :class:`~repro.store.cas.ResultStore` rooted at the
+checkpoint path (a directory), so each executed cell is one durable,
+checksummed object at a content address that covers the settings
+fingerprint and the simulator version::
 
-    {"integrity": "<sha256 of canonical payload>",
-     "payload": {"version": 1,
-                 "fingerprint": "<SweepSettings fingerprint>",
-                 "entries": {"cpu": [...], "gpu": [...], "dvfs": [...]},
-                 "failures": [...]}}
+    <path>/objects/<aa>/<address>.json
 
-Loading is strictly *fail-soft*: a missing, truncated, corrupted, or
-tampered file, an unknown version, or a fingerprint minted under different
-:class:`~repro.experiments.runner.SweepSettings` all load as a cache miss
-(``None``) -- a bad checkpoint can cost re-execution, never correctness.
-A zero-byte or unparsable file (a crash landed between truncate and
-write, or tore the data) additionally warns, since it means a previous
-writer died mid-save.
-Writes go through :mod:`repro.resilience.diskio`: temp file + file
-fsync + atomic rename + parent-directory fsync.  The rename makes a
-sweep killed mid-save leave the previous checkpoint intact; the fsyncs
-make that hold across power loss too, which a bare rename does not.
-
-Writes are additionally serialised through an advisory lock file
-(:class:`CheckpointLock`, ``<path>.lock``): two processes sharing a
-checkpoint directory (a sweep plus a job service, or two service
-replicas) take turns instead of interleaving temp files.  The lock is
-crash-safe via *stale takeover* -- a lock whose owning PID is dead, or
-older than ``stale_s``, is broken and re-acquired -- so a SIGKILLed
-writer can never wedge the directory.
-
-Results are encoded losslessly: every dataclass in the
-``CpuRunResult`` / ``GpuRunResult`` trees is plain scalars, dicts, and
-lists, so ``dataclasses.asdict`` round-trips through the explicit decoders
-below with exact float equality.
+:class:`~repro.experiments.runner.SweepRunner` saves every cell the
+moment it commits -- one O(1) write per cell, never a rewrite of the
+cells already saved -- and a resumed runner reads cells through the
+checkpoint on demand.  Reads fail soft like every store read: a
+missing, torn, or tampered object, or one minted under other sweep
+settings or another simulator version, is a miss; a bad checkpoint can
+cost re-execution, never correctness.  Writes go through
+:mod:`repro.resilience.diskio` (temp file + fsync + atomic rename +
+directory fsync) at site ``checkpoint``, so a writer killed mid-save
+loses at most that one cell and leaves an orphaned temp for the next
+startup sweep.  Concurrent writers need no lock: identical cells make
+identical bytes at the same address.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import os
-import time
-import warnings
 from pathlib import Path
 
-from repro.core.simulate import CpuRunResult, GpuRunResult
-from repro.cpu.core import ActivityCounts, CoreResult
-from repro.cpu.multicore import MulticoreResult
-from repro.gpu.cu import CUResult
-from repro.gpu.gpu import GpuResult
-from repro.power.model import EnergyBreakdown
-from repro.resilience import diskio
-from repro.resilience.errors import RunFailure
-
-#: Bump when the on-disk layout changes; older files load as misses.
-CHECKPOINT_VERSION = 1
+# perfbench encodes its reference results through these names.
+from repro.store.cas import (  # noqa: F401
+    ResultStore,
+    encode_cpu_result,
+    encode_gpu_result,
+)
 
 
-class CheckpointLockTimeout(TimeoutError):
-    """The advisory checkpoint lock stayed held past the acquire budget."""
-
-
-class CheckpointLock:
-    """Advisory cross-process lock file with stale-lock takeover.
-
-    ``O_CREAT | O_EXCL`` creation is the atomic primitive (portable, no
-    ``fcntl`` dependence); the lock file body records the owner's PID,
-    acquisition wall-clock time, and a unique per-acquisition token so
-    contenders can detect abandonment.  A lock is *stale* -- and broken
-    by the next contender -- when its owner PID is provably dead on this
-    host, or the lock is older than ``stale_s`` (covers unreadable/
-    foreign owners).  Unlinks are read-check-unlink: :meth:`release`
-    only removes a lock file that still carries this holder's token (a
-    holder whose lock was stale-broken must not delete the usurper's
-    live lock), and :meth:`_break_stale` only removes the exact body it
-    judged stale (not a contender's freshly created lock).  A narrow
-    check-to-unlink race remains by construction -- acceptable for an
-    advisory lock whose failure mode is one extra takeover.  Advisory
-    means cooperative: only writers that take the lock are serialised.
-
-    Usable as a context manager; re-entrant acquisition within one
-    process is an error (the owner check is PID-based, not thread-based
-    -- callers serialise their own threads, as ``SweepRunner`` does by
-    construction of its single-threaded checkpoint flush path).
-    """
-
-    def __init__(
-        self,
-        path: "str | os.PathLike",
-        *,
-        stale_s: float = 30.0,
-        timeout_s: float = 10.0,
-        poll_s: float = 0.05,
-    ):
-        self.path = Path(path)
-        self.stale_s = stale_s
-        self.timeout_s = timeout_s
-        self.poll_s = poll_s
-        self._held = False
-        #: Token written into the lock body at acquisition; release()
-        #: refuses to unlink a body carrying someone else's token.
-        self._token: "str | None" = None
-        #: The exact body _is_stale judged stale; _break_stale only
-        #: unlinks while the on-disk body is still that body.
-        self._stale_body: "str | None" = None
-        #: Takeovers performed by this lock instance (observable in tests
-        #: and surfaced through checkpoint telemetry).
-        self.takeovers = 0
-
-    # -- helpers -------------------------------------------------------
-    def _try_create(self) -> bool:
-        token = f"{os.getpid()}-{os.urandom(8).hex()}"
-        body = json.dumps(
-            {"pid": os.getpid(), "acquired_at": time.time(), "token": token}
-        ).encode("utf-8")
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, body)
-        finally:
-            os.close(fd)
-        self._token = token
-        return True
-
-    def _is_stale(self) -> bool:
-        self._stale_body = None
-        try:
-            raw = self.path.read_text()
-        except OSError:
-            return False  # vanished -- next create attempt decides
-        try:
-            info = json.loads(raw)
-            pid = int(info["pid"])
-            acquired_at = float(info["acquired_at"])
-        except (ValueError, KeyError, TypeError):
-            # Unreadable or torn lock body: age it via mtime, not content.
-            try:
-                acquired_at = self.path.stat().st_mtime
-            except OSError:
-                return False
-            if time.time() - acquired_at > self.stale_s:
-                self._stale_body = raw
-                return True
-            return False
-        stale = False
-        if time.time() - acquired_at > self.stale_s:
-            stale = True
-        elif pid != os.getpid():
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                stale = True  # owner died without unlinking
-            except PermissionError:
-                pass  # alive, owned by someone else
-        if stale:
-            self._stale_body = raw
-        return stale
-
-    def _break_stale(self) -> None:
-        # Read-check-unlink: only break the exact body we judged stale.
-        # A contender may have broken it first and re-created the lock;
-        # unlinking blindly here would delete their live lock.
-        try:
-            current = self.path.read_text()
-        except OSError:
-            return  # already gone; retry the create
-        if self._stale_body is None or current != self._stale_body:
-            return  # the lock changed hands since the staleness check
-        try:
-            self.path.unlink()
-        except OSError:
-            return  # a contender beat us to it; retry the create
-        self.takeovers += 1
-
-    # -- API -----------------------------------------------------------
-    def acquire(self) -> "CheckpointLock":
-        if self._held:
-            raise RuntimeError(f"lock {self.path} already held by this process")
-        deadline = time.monotonic() + self.timeout_s
-        while True:
-            if self._try_create():
-                self._held = True
-                return self
-            if self._is_stale():
-                self._break_stale()
-                continue
-            if time.monotonic() >= deadline:
-                raise CheckpointLockTimeout(
-                    f"could not acquire {self.path} within "
-                    f"{self.timeout_s:g}s (held by a live writer)"
-                )
-            time.sleep(self.poll_s)
-
-    def release(self) -> None:
-        if not self._held:
-            return
-        self._held = False
-        token, self._token = self._token, None
-        # Read-check-unlink: if our lock was stale-broken (e.g. this
-        # process was suspended past stale_s) and a contender now holds
-        # the path, the body carries *their* token -- leave it alone.
-        try:
-            info = json.loads(self.path.read_text())
-        except OSError:
-            return  # broken by a takeover and not re-taken; nothing to free
-        except ValueError:
-            return  # torn body we did not write; not ours to unlink
-        if info.get("token") != token:
-            return  # a contender re-acquired after breaking our stale lock
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "CheckpointLock":
-        return self.acquire()
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------
-# Result codecs
-# ---------------------------------------------------------------------
-
-def encode_cpu_result(result: CpuRunResult) -> dict:
-    return dataclasses.asdict(result)
-
-
-def decode_cpu_result(data: dict) -> CpuRunResult:
-    mc = data["multicore"]
-    per_core = [
-        CoreResult(**{**core, "activity": ActivityCounts(**core["activity"])})
-        for core in mc["per_core"]
-    ]
-    return CpuRunResult(
-        config=data["config"],
-        app=data["app"],
-        time_s=data["time_s"],
-        energy=EnergyBreakdown(**data["energy"]),
-        multicore=MulticoreResult(**{**mc, "per_core": per_core}),
-    )
-
-
-def encode_gpu_result(result: GpuRunResult) -> dict:
-    return dataclasses.asdict(result)
-
-
-def decode_gpu_result(data: dict) -> GpuRunResult:
-    gpu = data["gpu"]
-    return GpuRunResult(
-        config=data["config"],
-        kernel=data["kernel"],
-        time_s=data["time_s"],
-        energy=EnergyBreakdown(**data["energy"]),
-        gpu=GpuResult(**{**gpu, "cu_result": CUResult(**gpu["cu_result"])}),
-    )
-
-
-_CODECS = {
-    "cpu": (encode_cpu_result, decode_cpu_result),
-    "gpu": (encode_gpu_result, decode_gpu_result),
-    "dvfs": (encode_cpu_result, decode_cpu_result),
-}
-
-
-@dataclasses.dataclass
-class CheckpointData:
-    """Decoded checkpoint contents, keyed exactly like the runner caches."""
-
-    cpu: dict
-    gpu: dict
-    dvfs: dict
-    failures: "list[RunFailure]"
-
-    @property
-    def entries(self) -> int:
-        return len(self.cpu) + len(self.gpu) + len(self.dvfs)
-
-
-class SweepCheckpoint:
-    """Versioned, integrity-checked persistence for one checkpoint path.
-
-    ``lock_stale_s`` / ``lock_timeout_s`` shape the advisory write lock
-    (see :class:`CheckpointLock`); reads need no lock because writes are
-    atomic replaces of a single file.
-    """
-
-    def __init__(
-        self,
-        path: "str | os.PathLike",
-        *,
-        lock_stale_s: float = 30.0,
-        lock_timeout_s: float = 10.0,
-    ):
-        self.path = Path(path)
-        # The lock file is created before the first durable write gets
-        # a chance to make directories, so the parent must exist now.
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.lock = CheckpointLock(
-            self.path.with_name(self.path.name + ".lock"),
-            stale_s=lock_stale_s,
-            timeout_s=lock_timeout_s,
+def check_checkpoint_path(path: "str | os.PathLike") -> None:
+    """Raise ``ValueError`` naming ``path`` if it is an existing regular
+    file -- such as a single-file checkpoint from an older version."""
+    if Path(path).is_file():
+        raise ValueError(
+            f"checkpoint path {path} is an existing file, not a "
+            "checkpoint directory (a single-file checkpoint from an "
+            "older version?); pass a new path or remove the file"
         )
-        # Writer-startup hygiene: collect temp droppings left by writers
-        # that died between temp-write and rename.
-        diskio.sweep_orphan_temps(self.path.parent, site="checkpoint")
 
-    def save(
-        self,
-        fingerprint: str,
-        caches: "dict[str, dict]",
-        failures: "list[RunFailure]",
-    ) -> int:
-        """Atomically write the caches; returns the entry count written."""
-        entries = {}
-        count = 0
-        for kind, (encode, _) in _CODECS.items():
-            cache = caches.get(kind, {})
-            entries[kind] = [
-                {"key": list(key), "result": encode(result)}
-                for key, result in cache.items()
-            ]
-            count += len(cache)
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "fingerprint": fingerprint,
-            "entries": entries,
-            "failures": [f.to_dict() for f in failures],
-        }
-        doc = {"integrity": _digest(payload), "payload": payload}
-        with self.lock:
-            diskio.durable_write_text(
-                self.path,
-                json.dumps(doc, indent=1, sort_keys=True),
-                site="checkpoint",
-            )
-        return count
 
-    def load(self, fingerprint: str) -> "CheckpointData | None":
-        """Decode the checkpoint, or None for any invalid/mismatched file."""
-        try:
-            raw = self.path.read_text()
-        except OSError:
-            return None
-        if not raw.strip():
-            # A crash between open-truncate and write (pre-diskio
-            # writers) leaves a zero-byte file: missing, but worth a
-            # warning because it means a writer died mid-save.
-            warnings.warn(
-                f"checkpoint {self.path} is empty (crash-truncated?); "
-                "treating as missing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        try:
-            doc = json.loads(raw)
-        except ValueError:
-            warnings.warn(
-                f"checkpoint {self.path} is not parseable JSON "
-                "(torn write?); treating as missing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        try:
-            payload = doc["payload"]
-            if doc["integrity"] != _digest(payload):
-                return None
-            if payload["version"] != CHECKPOINT_VERSION:
-                return None
-            if payload["fingerprint"] != fingerprint:
-                return None
-            caches: "dict[str, dict]" = {}
-            for kind, (_, decode) in _CODECS.items():
-                caches[kind] = {
-                    tuple(entry["key"]): decode(entry["result"])
-                    for entry in payload["entries"][kind]
-                }
-            failures = [RunFailure.from_dict(f) for f in payload["failures"]]
-        except Exception:
-            return None
-        return CheckpointData(
-            cpu=caches["cpu"],
-            gpu=caches["gpu"],
-            dvfs=caches["dvfs"],
-            failures=failures,
-        )
+class SweepCheckpoint(ResultStore):
+    """A :class:`ResultStore` whose disk I/O reports as ``checkpoint``."""
+
+    site = "checkpoint"
+
+    def __init__(self, path: "str | os.PathLike"):
+        check_checkpoint_path(path)
+        super().__init__(path)
+
+    #: One cell's durable write: the store's ``put`` under its own name,
+    #: so profiles tell checkpoint flushes apart from store writes.
+    save = ResultStore.put

@@ -19,8 +19,7 @@ repeated faults, and termination:
   ``follow`` tail mode -- no network required), degraded-mode fallback
   from process to thread isolation when worker spawn keeps failing, and
   graceful shutdown: SIGTERM/SIGINT stops admissions, drains in-flight
-  workers within a deadline, flushes the checkpoint, and reports
-  unfinished jobs as gaps;
+  workers within a deadline, and reports unfinished jobs as gaps;
 * :mod:`repro.serve.health` -- liveness/readiness snapshots (queue
   depth, breaker states, shed/served counters) written atomically to a
   health file and dumped by ``repro serve --health``;

@@ -2,9 +2,8 @@
 
 No network is required (or wanted) in this environment, so health is a
 *file* contract: the running service atomically rewrites a small JSON
-document (``<checkpoint>.health.json`` by default, or ``--health-file``)
-on every state change plus a periodic heartbeat, and ``repro serve
---health`` dumps it.  An orchestrator gets the two standard probes:
+document (the ``--health-file`` path) on every state change plus a
+periodic heartbeat, and ``repro serve --health`` dumps it.  An orchestrator gets the two standard probes:
 
 * **liveness** -- the writer stamps ``updated_at`` (wall clock) on every
   write; a reader treats a snapshot older than ``stale_after_s`` as a

@@ -17,7 +17,8 @@ Dispatch is pull-based: ``config.workers`` daemon dispatcher threads pop
 admitted jobs in priority order and execute them through the *shared*
 :class:`~repro.experiments.runner.SweepRunner` -- so served jobs land in
 the same result caches, checkpoint, telemetry, and failure taxonomy as
-batch sweeps.  Under ``isolation="process"`` each attempt runs in a
+batch sweeps; each served cell is durable in the checkpoint the moment
+it commits.  Under ``isolation="process"`` each attempt runs in a
 SIGKILL-supervised worker process (:mod:`repro.resilience.pool`); under
 ``"thread"`` in the in-process guard.
 
@@ -42,9 +43,9 @@ Robustness shapes
   :meth:`shutdown` then waits up to ``drain_deadline_s`` for in-flight
   jobs, aborts still-running worker pools past the deadline
   (:meth:`~repro.experiments.runner.SweepRunner.abort_active_pools`),
-  records every unfinished job as a ``shed`` gap, flushes the
-  checkpoint, and writes a final health snapshot.  A re-run against the
-  same checkpoint serves only the gaps.
+  records every unfinished job as a ``shed`` gap, and writes a final
+  health snapshot.  A re-run against the same checkpoint serves only
+  the gaps.
 
 Accounting invariant: every submitted job reaches exactly one terminal
 state (``served`` / ``failed`` / ``shed`` / ``cancelled``), and every
@@ -783,9 +784,10 @@ class SimService:
         Admissions stop; queued-but-unstarted jobs become ``shed`` gaps
         (reason ``draining``); in-flight jobs get ``drain_deadline_s``
         to finish, after which their worker pools are aborted (SIGKILL +
-        reap) and they too become gaps.  The checkpoint is flushed and a
-        final health snapshot written before returning, so a subsequent
-        run against the same checkpoint serves exactly the gaps.
+        reap) and they too become gaps.  A final health snapshot is
+        written before returning; every served cell is already in the
+        checkpoint, so a subsequent run against it serves exactly the
+        gaps.
         """
         deadline_s = (
             drain_deadline_s
@@ -825,7 +827,6 @@ class SimService:
             ):
                 self._count("drained")
                 self.telemetry.record_serve("drained")
-        self.runner.save_checkpoint()
         self._finished = True
         self._write_health(force=True)
         return self.summary()

@@ -1,7 +1,7 @@
 """Durable content-addressed result store (the serving fast path).
 
 ``repro.store`` unifies the repo's three historical cache keyings --
-the trace LRU, the checkpoint caches, and the serve/fabric result
+the trace LRU, the sweep checkpoint, and the serve/fabric result
 caches -- behind one addressing scheme
 (:func:`repro.store.address.content_address`) and adds the durable
 tier: :class:`repro.store.cas.ResultStore`, a crash-consistent
@@ -16,7 +16,7 @@ from disk without touching a cycle engine.  ``repro store fsck`` and
 
 Only :mod:`repro.store.address` is imported eagerly -- it is pure
 hashing and safe everywhere (the trace cache keys through it at import
-time).  :class:`ResultStore` pulls in the checkpoint codecs, so it is
+time).  :class:`ResultStore` pulls in the result codecs, so it is
 exported lazily to keep low-level modules importable without dragging
 in the simulation stack.
 """

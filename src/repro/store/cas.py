@@ -19,20 +19,74 @@ entry sits at the address its content demands and for
 The store is multi-process safe by construction: concurrent writers of
 the same cell produce byte-identical content at the same address (the
 simulators are deterministic), and distinct pids never collide on temp
-names.
+names.  The sweep checkpoint
+(:class:`~repro.resilience.checkpoint.SweepCheckpoint`) is this same
+store rooted at the ``--checkpoint`` path.
+
+Results are encoded losslessly: every dataclass in the
+``CpuRunResult`` / ``GpuRunResult`` trees is plain scalars, dicts, and
+lists, so ``dataclasses.asdict`` round-trips through the explicit
+decoders below with exact float equality.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
+from repro.core.simulate import CpuRunResult, GpuRunResult
+from repro.cpu.core import ActivityCounts, CoreResult
+from repro.cpu.multicore import MulticoreResult
+from repro.gpu.cu import CUResult
+from repro.gpu.gpu import GpuResult
+from repro.power.model import EnergyBreakdown
 from repro.resilience import diskio
-from repro.resilience.checkpoint import _CODECS
 from repro.store.address import content_address
 
 #: Bump when the entry payload layout changes; mismatches read as misses.
 ENTRY_SCHEMA = 1
+
+
+def encode_cpu_result(result: CpuRunResult) -> dict:
+    return dataclasses.asdict(result)
+
+
+def decode_cpu_result(data: dict) -> CpuRunResult:
+    mc = data["multicore"]
+    per_core = [
+        CoreResult(**{**core, "activity": ActivityCounts(**core["activity"])})
+        for core in mc["per_core"]
+    ]
+    return CpuRunResult(
+        config=data["config"],
+        app=data["app"],
+        time_s=data["time_s"],
+        energy=EnergyBreakdown(**data["energy"]),
+        multicore=MulticoreResult(**{**mc, "per_core": per_core}),
+    )
+
+
+def encode_gpu_result(result: GpuRunResult) -> dict:
+    return dataclasses.asdict(result)
+
+
+def decode_gpu_result(data: dict) -> GpuRunResult:
+    gpu = data["gpu"]
+    return GpuRunResult(
+        config=data["config"],
+        kernel=data["kernel"],
+        time_s=data["time_s"],
+        energy=EnergyBreakdown(**data["energy"]),
+        gpu=GpuResult(**{**gpu, "cu_result": CUResult(**gpu["cu_result"])}),
+    )
+
+
+_CODECS = {
+    "cpu": (encode_cpu_result, decode_cpu_result),
+    "gpu": (encode_gpu_result, decode_gpu_result),
+    "dvfs": (encode_cpu_result, decode_cpu_result),
+}
 
 
 def current_sim_version() -> str:
@@ -43,6 +97,10 @@ def current_sim_version() -> str:
 
 class ResultStore:
     """Content-addressed, crash-consistent store of simulation results."""
+
+    #: The :mod:`~repro.resilience.diskio` site every read and write of
+    #: this store reports (and draws disk faults) under.
+    site = "store"
 
     def __init__(self, root, *, sim_version: "str | None" = None):
         self.root = Path(root)
@@ -55,9 +113,9 @@ class ResultStore:
             "quarantined": 0,
         }
         # Crashed writers leave *.tmp.<pid> droppings next to objects.
-        swept = diskio.sweep_orphan_temps(self.objects, site="store")
+        swept = diskio.sweep_orphan_temps(self.objects, site=self.site)
         for shard in self._shards():
-            swept += diskio.sweep_orphan_temps(shard, site="store")
+            swept += diskio.sweep_orphan_temps(shard, site=self.site)
         self.orphans_swept = swept
 
     # -- addressing ----------------------------------------------------
@@ -101,7 +159,7 @@ class ResultStore:
         digest = self.address(fingerprint, run_kind, config, workload,
                               extra, seed)
         path = self._path(digest)
-        payload = diskio.read_record(path, site="store")
+        payload = diskio.read_record(path, site=self.site)
         if payload is None:
             self.counters["misses"] += 1
             return None
@@ -114,7 +172,7 @@ class ResultStore:
         except Exception:
             # Checksum held but the body is not a decodable result --
             # a foreign or stale-layout object squatting on the address.
-            diskio.quarantine_file(path, site="store", reason="undecodable")
+            diskio.quarantine_file(path, site=self.site, reason="undecodable")
             self.counters["quarantined"] += 1
             self.counters["misses"] += 1
             return None
@@ -143,7 +201,7 @@ class ResultStore:
             },
             "result": _CODECS[run_kind][0](result),
         }
-        diskio.write_record(self._path(digest), payload, site="store")
+        diskio.write_record(self._path(digest), payload, site=self.site)
         self.counters["puts"] += 1
         return digest
 
@@ -159,17 +217,17 @@ class ResultStore:
         report = {
             "checked": 0, "ok": 0, "damaged": [], "quarantined": 0,
             "orphans_swept": diskio.sweep_orphan_temps(
-                self.objects, site="store.fsck"
+                self.objects, site=f"{self.site}.fsck"
             ),
         }
         for shard in self._shards():
             report["orphans_swept"] += diskio.sweep_orphan_temps(
-                shard, site="store.fsck"
+                shard, site=f"{self.site}.fsck"
             )
         for path in self.entries():
             report["checked"] += 1
             payload = diskio.read_record(
-                path, site="store.fsck", quarantine=quarantine
+                path, site=f"{self.site}.fsck", quarantine=quarantine
             )
             reason = None
             if payload is None:
@@ -197,7 +255,7 @@ class ResultStore:
                 if quarantine:
                     report["quarantined"] += 1
             elif quarantine and diskio.quarantine_file(
-                path, site="store.fsck", reason=reason
+                path, site=f"{self.site}.fsck", reason=reason
             ) is not None:
                 report["quarantined"] += 1
         self.counters["quarantined"] += report["quarantined"]
@@ -217,7 +275,7 @@ class ResultStore:
                   "remaining": 0, "bytes": 0}
         survivors = []
         for path in self.entries():
-            payload = diskio.read_record(path, site="store.gc")
+            payload = diskio.read_record(path, site=f"{self.site}.gc")
             if payload is None:
                 continue  # damaged: quarantined by the read
             if payload.get("sim_version") != keep:

@@ -1,4 +1,4 @@
-"""Tests for the CLI and the exhibit exporters."""
+"""Tests for the CLI."""
 
 import json
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.experiments.export import to_csv, to_json
-from repro.experiments.figures import FigureResult, figure2, table1
 from repro.obs.metrics import get_registry
 
 
@@ -157,36 +155,3 @@ class TestTraceCommand:
         doc = json.loads(out_path.read_text())
         events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
         assert len(events) == 64
-
-
-class TestExport:
-    def test_csv_of_series_exhibit(self):
-        text = to_csv(figure2())
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("activity_factor")
-        assert len(lines) > 10
-
-    def test_csv_of_matrix(self):
-        result = FigureResult(
-            exhibit="X", title="t",
-            rows={"a": {"c1": 1.0, "c2": 2.0}, "b": {"c1": 3.0, "c2": 4.0}},
-            table="",
-        )
-        text = to_csv(result)
-        assert "row,c1,c2" in text
-        assert "a,1.0,2.0" in text
-
-    def test_json_round_trips(self):
-        doc = json.loads(to_json(figure2()))
-        assert doc["exhibit"] == "Figure 2"
-        assert "measured_means" in doc
-        assert doc["rows"]["ratio"][0] > 100
-
-    def test_json_of_table1(self):
-        doc = json.loads(to_json(table1()))
-        assert len(doc["rows"]["rows"]) == 9
-
-    def test_flatten_rejects_garbage(self):
-        bad = FigureResult(exhibit="X", title="t", rows=[1, 2], table="")
-        with pytest.raises(TypeError):
-            to_csv(bad)

@@ -307,8 +307,8 @@ def test_drain_before_any_node_shed_gaps_everywhere(tmp_path):
     assert all(
         "drain" in f.message for f in runner.failures.values()
     )
-    # The drain flushed a checkpoint carrying exactly those gaps, so a
-    # serial resume serves precisely the missing cells.
+    # The checkpoint holds no cell, so a serial resume executes
+    # precisely the shed ones.
     resumed = SweepRunner(
         SweepSettings(**SMALL),
         checkpoint=str(tmp_path / "fabric.ckpt.json"), resume=True,

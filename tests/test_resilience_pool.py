@@ -240,19 +240,19 @@ def test_parent_killed_mid_sweep_then_resume_fills_gaps(tmp_path):
         cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
     try:
-        # Wait for the first incremental flush, then kill the parent
-        # outright (the checkpoint write is atomic, so whatever state we
-        # hit mid-save still loads).
+        # Wait for the first cell to be durable in the checkpoint, then
+        # kill the parent outright (each save is atomic, so whatever
+        # state we hit mid-save still loads).
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            if checkpoint.exists() or proc.poll() is not None:
+            if any(checkpoint.rglob("*.json")) or proc.poll() is not None:
                 break
             time.sleep(0.01)
         if proc.poll() is None:
             proc.send_signal(signal.SIGKILL)
     finally:
         proc.wait(timeout=30)
-    assert checkpoint.exists()
+    assert any(checkpoint.rglob("*.json"))
 
     resumed = subprocess.run(
         cmd + ["--resume", "--json"],

@@ -269,8 +269,8 @@ def test_drain_sheds_queued_jobs_and_resume_serves_only_gaps(tmp_path):
     assert summary["counters"]["drained"] == 2
     assert_accounting_closed(service)
 
-    # The flushed checkpoint serves the finished cell and re-executes
-    # exactly the two drained gaps.
+    # The checkpoint serves the finished cell and re-executes exactly
+    # the two drained gaps.
     resumed = make_runner(checkpoint=ck_path, resume=True)
     second = make_service(resumed)
     second.start()
@@ -460,10 +460,10 @@ def test_sigterm_drains_flushes_checkpoint_and_resume_serves_gaps(tmp_path):
         text=True,
     )
     try:
-        # Wait for the first served job's checkpoint flush, then TERM.
+        # Wait for the first served job's checkpoint save, then TERM.
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            if checkpoint.exists() or proc.poll() is not None:
+            if any(checkpoint.rglob("*.json")) or proc.poll() is not None:
                 break
             time.sleep(0.01)
         assert proc.poll() is None, proc.stderr.read()

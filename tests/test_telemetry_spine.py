@@ -167,7 +167,7 @@ def test_sigkilled_worker_leaves_flight_recorder_tail():
     assert failure.flight, "sidecar events were not recovered"
     names = {e.get("name") for e in failure.flight}
     assert "worker.attempt" in names
-    # The gap record serializes the tail (checkpoints carry it too).
+    # The gap record serializes the tail (fabric results carry it too).
     assert RunFailure.from_dict(failure.to_dict()).flight == failure.flight
     assert "flight" in failure.to_dict()
     # Recovery itself is an event on the supervisor's log.
