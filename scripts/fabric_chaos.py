@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -54,8 +55,7 @@ def spawn(argv, **kwargs):
     return subprocess.Popen([sys.executable, "-m", "repro", *argv], **kwargs)
 
 
-def main() -> int:
-    workdir = tempfile.mkdtemp(prefix="fabric-chaos-")
+def chaos(workdir: str) -> int:
     fleet_dir = os.path.join(workdir, "fleet")
 
     print("== serial baseline ==", flush=True)
@@ -124,6 +124,22 @@ def main() -> int:
     print(top.stdout, flush=True)
     print("chaos smoke passed", flush=True)
     return 0
+
+
+def main() -> int:
+    """Run the smoke in a fresh work directory: removed when it passes,
+    kept (and its path printed) when it fails, for inspection."""
+    workdir = tempfile.mkdtemp(prefix="fabric-chaos-")
+    status = 1
+    try:
+        status = chaos(workdir)
+    finally:
+        if status == 0:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"work directory kept: {workdir}", file=sys.stderr,
+                  flush=True)
+    return status
 
 
 if __name__ == "__main__":

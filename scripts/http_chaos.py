@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -133,8 +134,7 @@ def make_client(seed, attempts=8):
     )
 
 
-def main() -> int:
-    workdir = tempfile.mkdtemp(prefix="http-chaos-")
+def chaos(workdir: str) -> int:
     checkpoint = os.path.join(workdir, "chaos.ckpt.json")
     workloads = [
         w.strip()
@@ -271,6 +271,22 @@ def main() -> int:
     assert summary_p["telemetry"]["shed_reasons"].get("breaker_open", 0) >= 1
     print("http chaos smoke passed", flush=True)
     return 0
+
+
+def main() -> int:
+    """Run the smoke in a fresh work directory: removed when it passes,
+    kept (and its path printed) when it fails, for inspection."""
+    workdir = tempfile.mkdtemp(prefix="http-chaos-")
+    status = 1
+    try:
+        status = chaos(workdir)
+    finally:
+        if status == 0:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"work directory kept: {workdir}", file=sys.stderr,
+                  flush=True)
+    return status
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -58,8 +59,7 @@ def find_orphans(root) -> "list[str]":
     return orphans
 
 
-def main() -> int:
-    workdir = tempfile.mkdtemp(prefix="store-chaos-")
+def chaos(workdir: str) -> int:
     checkpoint = os.path.join(workdir, "ck", "sweep.ckpt.json")
     store = os.path.join(workdir, "store")
 
@@ -129,6 +129,22 @@ def main() -> int:
     print("no *.tmp.* orphans anywhere; store chaos smoke passed",
           flush=True)
     return 0
+
+
+def main() -> int:
+    """Run the smoke in a fresh work directory: removed when it passes,
+    kept (and its path printed) when it fails, for inspection."""
+    workdir = tempfile.mkdtemp(prefix="store-chaos-")
+    status = 1
+    try:
+        status = chaos(workdir)
+    finally:
+        if status == 0:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"work directory kept: {workdir}", file=sys.stderr,
+                  flush=True)
+    return status
 
 
 if __name__ == "__main__":

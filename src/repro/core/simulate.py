@@ -231,9 +231,12 @@ def simulate_cpu_batch(
     SIMT lockstep the way the GPU scoreboard can, so cells execute
     sequentially -- but the batch still amortises what is shareable:
     the trace cache hands every cell of an app the same trace objects
-    and the SoA decode (:mod:`repro.cpu.soa`) and warm cache state
-    (:func:`warm_memo`) memoised on them, so the per-run unboxing and
-    cache prewarm are paid once per app, not once per (config, core).
+    and what is memoised on them -- the SoA decode with its frontend
+    and dispatch columns (branch outcomes, BTB bubbles, steering
+    decisions and the counters' prefix sums; :mod:`repro.cpu.soa`) and
+    the warm cache state (:func:`warm_memo`), which a cell restores
+    copy-on-write -- so unboxing, branch prediction, steering and cache
+    prewarm are paid once per app, not once per (config, core).
     Results are byte-identical to calling :func:`simulate_cpu` per cell;
     a raising cell yields ``error`` while its siblings complete.
     """

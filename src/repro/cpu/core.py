@@ -36,8 +36,16 @@ from repro import obs
 from repro.obs import cycle_skip_disabled
 from repro.cpu.branch import BranchTargetBuffer, ReturnAddressStack, TournamentPredictor
 from repro.cpu.resources import CoreResources, ResourceConfig
-from repro.cpu.soa import decode_trace
-from repro.cpu.steering import DualSpeedSteering
+from repro.cpu.soa import (
+    DISPATCH_COUNTERS,
+    FRONT_BUBBLE,
+    FRONT_MISPREDICT,
+    SteerColumns,
+    TraceSoA,
+    decode_trace,
+    steer_columns,
+)
+from repro.cpu.steering import MAX_CONSUMER_DISTANCE, DualSpeedSteering
 from repro.cpu.trace import Trace
 from repro.cpu.units import FunctionalUnitPool
 from repro.cpu.uops import N_UOP_TYPES, UopType
@@ -92,10 +100,6 @@ _IS_FP = _class_table(_FP_CLASS)
 _IS_MEM = _class_table(_MEM_CLASS)
 _IS_INT_WRITER = _class_table(_INT_WRITERS)
 _IS_FP_WRITER = _class_table(_FP_WRITERS)
-
-
-def _zero() -> int:
-    return 0
 
 
 @dataclass
@@ -171,6 +175,50 @@ class ActivityCounts:
 
 
 @dataclass
+class _RunCounts:
+    """The predictor, steering and cycle-skip counters of a fast-path run.
+
+    The fast path reads branch outcomes and steering decisions from the
+    trace's frontend columns (:mod:`repro.cpu.soa`) instead of driving
+    the core's predictor or a :class:`DualSpeedSteering`, so their
+    counters live here, written from the columns' prefix sums at the
+    warm-up boundary and at the end of the run.
+    """
+
+    lookups: int = 0
+    mispredictions: int = 0
+    examined: int = 0
+    preferred: int = 0
+    skipped_cycles: int = 0
+    skip_events: int = 0
+
+    def flush(
+        self,
+        act: ActivityCounts,
+        soa: TraceSoA,
+        steer: "SteerColumns | None",
+        fetched: int,
+        dispatched: int,
+        skipped_cycles: int,
+        skip_events: int,
+    ) -> None:
+        """Write the counters of the first ``fetched``/``dispatched``
+        trace entries into ``act`` and here, plus the skip counts."""
+        act.fetched = fetched
+        act.dispatched = dispatched
+        self.lookups, self.mispredictions = soa.fetch_counts[:, fetched].tolist()
+        act.bpred_lookups = self.lookups
+        for name, value in zip(
+            DISPATCH_COUNTERS, soa.dispatch_counts[:, dispatched].tolist()
+        ):
+            setattr(act, name, value)
+        if steer is not None:
+            self.examined, self.preferred = steer.counts[:, dispatched].tolist()
+        self.skipped_cycles = skipped_cycles
+        self.skip_events = skip_events
+
+
+@dataclass
 class CoreResult:
     """Outcome of one measured simulation window."""
 
@@ -230,14 +278,28 @@ class OutOfOrderCore:
         self.skip_events = 0
 
     def _build_metrics(
-        self, act: ActivityCounts, steering: "DualSpeedSteering | None"
+        self,
+        act: ActivityCounts,
+        steering: "DualSpeedSteering | None" = None,
+        counts: "_RunCounts | None" = None,
     ) -> MetricsRegistry:
         """A probe-only registry over every counter this core touches.
 
         Probes read the live objects lazily, so registration costs nothing
         on the per-cycle path; ``snapshot()``/``delta()`` at the warm-up
-        boundary replace the old hand-rolled snapshot dict.
+        boundary replace the old hand-rolled snapshot dict.  The fast
+        path passes its :class:`_RunCounts`; without one (the legacy
+        walk) the predictor and ``steering`` counters are read live and
+        no cycles are skipped.  No probe refers back to the core: the
+        registry outlives the run, and a reference cycle would leave
+        every finished core and its cache hierarchy to the cyclic
+        garbage collector.
         """
+        if counts is None:
+            counts = _RunCounts()
+            bpred, steer = self.predictor, steering
+        else:
+            bpred = steer = counts
         reg = MetricsRegistry(self.name, enabled=True)
         for fname in act.as_dict():
             reg.probe(f"activity.{fname}", partial(getattr, act, fname))
@@ -247,25 +309,21 @@ class OutOfOrderCore:
         h.l3.publish(reg, "l3")
         h.dl1.publish(reg, "dl1")
         reg.probe("dram.accesses", lambda: h.dram_accesses)
-        predictor = self.predictor
-        reg.probe("bpred.lookups", lambda: predictor.lookups)
-        reg.probe("bpred.mispredictions", lambda: predictor.mispredictions)
+        reg.probe("bpred.lookups", lambda: bpred.lookups)
+        reg.probe("bpred.mispredictions", lambda: bpred.mispredictions)
         units = self.units
         reg.probe("alu.fast_ops", lambda: units.alu_fast_ops)
         reg.probe("alu.slow_ops", lambda: units.alu_slow_ops)
         reg.probe("muldiv.ops", lambda: units.muldiv_ops)
         reg.probe("fpu.ops", lambda: units.fpu_ops)
         reg.probe("lsu.ops", lambda: units.lsu_ops)
-        if steering is not None:
-            steering.publish(reg, "steer")
-        else:
-            # Steering disabled: the counters would read 0 anyway; constant
-            # probes keep the metric namespace stable across configs.
-            reg.probe("steer.examined", _zero)
-            reg.probe("steer.fast_alu_dispatches", _zero)
-            reg.probe("steer.slow_alu_dispatches", _zero)
-        reg.probe("engine.skipped_cycles", partial(getattr, self, "skipped_cycles"))
-        reg.probe("engine.skip_events", partial(getattr, self, "skip_events"))
+        reg.probe("steer.examined", lambda: steer.examined)
+        reg.probe("steer.fast_alu_dispatches", lambda: steer.preferred)
+        reg.probe(
+            "steer.slow_alu_dispatches", lambda: steer.examined - steer.preferred
+        )
+        reg.probe("engine.skipped_cycles", partial(getattr, counts, "skipped_cycles"))
+        reg.probe("engine.skip_events", partial(getattr, counts, "skip_events"))
         return reg
 
     def run(self, trace: Trace, warmup: int = 0) -> CoreResult:
@@ -273,7 +331,9 @@ class OutOfOrderCore:
 
         ``warmup`` commits are executed first to warm caches and predictor
         state; every counter is then snapshotted and the reported result
-        covers only the remaining instructions.
+        covers only the remaining instructions.  A core runs one trace:
+        the fast path's frontend columns describe a freshly built
+        predictor, BTB and RAS, so a second run raises.
 
         Two loop bodies implement identical semantics (held together by
         the seed-pinned equivalence suite): the event-driven fast path and
@@ -285,6 +345,8 @@ class OutOfOrderCore:
         """
         if warmup >= len(trace):
             raise ValueError("warmup must be smaller than the trace")
+        if self.metrics is not None:
+            raise RuntimeError(f"{self.name} already ran; build a fresh core")
         if not cycle_skip_disabled():
             return self._run_fast(trace, warmup)
         return self._run_legacy(trace, warmup)
@@ -292,7 +354,7 @@ class OutOfOrderCore:
     def _run_fast(self, trace: Trace, warmup: int) -> CoreResult:
         """Event-driven fast path: wakeup events instead of per-cycle scans.
 
-        Three structural changes over :meth:`_run_legacy`, none visible in
+        Four structural changes over :meth:`_run_legacy`, none visible in
         the results (DESIGN.md "Cycle-skip invariants" has the proofs):
 
         * blocked issue-queue entries park on a completion-time heap (or on
@@ -304,7 +366,17 @@ class OutOfOrderCore:
           replaying the cached stall classification;
         * a cycle in which commit, issue, dispatch, and fetch all made zero
           progress jumps straight to the next wakeup event, charging the
-          jumped cycles to the same stall bucket.
+          jumped cycles to the same stall bucket;
+        * fetch, dispatch and commit move strictly in program order, so
+          the fetch queue and the ROB are the index ranges
+          ``[dispatched, fetched)`` and ``[committed, dispatched)``;
+          branch outcomes, BTB bubbles and steering decisions come from
+          the trace's frontend columns (:mod:`repro.cpu.soa`), and the
+          counters those stages feed are written from the columns'
+          prefix sums at the warm-up boundary and at the end instead of
+          per micro-op.  ROB/IQ/LSQ/register occupancy lives in local
+          ints (with :class:`CoreResources`' checks) and is written back
+          to ``self.resources`` at the end.
 
         An attached :class:`PipelineTracer` observes this path directly:
         per-event sites match the legacy walk's, and each idle-cycle jump
@@ -319,52 +391,54 @@ class OutOfOrderCore:
         # single truth test per event site (zero-overhead-when-off).
         tracer = self.tracer
         # The SoA decode (hot trace fields unboxed to plain lists, plus
-        # precomputed producer indices and fetch-line flags) is memoised
-        # on the trace and shared by every run/config/core touching it.
+        # precomputed producer indices, fetch-line flags and frontend
+        # columns) is memoised on the trace and shared by every
+        # run/config/core touching it.
         soa = decode_trace(trace)
         op_l = soa.op
         prod1_l = soa.prod1
         prod2_l = soa.prod2
         addr_l = soa.addr
         pc_l = soa.pc
-        taken_l = soa.taken
         new_line_l = soa.new_line
+        front_l = soa.front
 
         steer_on = cfg.steering_enabled
-        steering = (
-            DualSpeedSteering(trace, window=cfg.issue_width, enabled=True)
-            if steer_on
-            else None
-        )
+        steer = None
+        if steer_on:
+            steer = steer_columns(
+                trace, min(cfg.issue_width, MAX_CONSUMER_DISTANCE)
+            )
+            prefer_fast = steer.prefer_fast
 
         act = ActivityCounts()
-        self.skipped_cycles = 0
-        self.skip_events = 0
-        metrics = self._build_metrics(act, steering)
+        counts = _RunCounts()
+        metrics = self._build_metrics(act, counts=counts)
         self.metrics = metrics
         if obs.enabled():
             get_registry().mount(self.name, metrics)
 
         ready = [_INF] * n  # completion cycle per trace entry
-        rob: deque[int] = deque()
-        prefer_fast = [False] * n if steer_on else ()
 
         # Issue-queue wakeup structures.  ``eligible`` (age-sorted) holds
         # entries not known to be source-blocked; ``parked`` is a min-heap
         # of (wake cycle, idx) for entries whose blocking producer has a
         # known completion time; ``waiters`` maps a not-yet-issued producer
         # to the entries blocked on it (they move to ``parked`` the moment
-        # it issues).  ``iq_order`` preserves dispatch order for the stall
-        # classifier and is compacted lazily against ``left_iq``.
+        # it issues).  ``iq_head`` is the oldest entry that may still be
+        # queued (for the stall classifier), advanced lazily past
+        # ``left_iq``.
         eligible: list[int] = []
         parked: list[tuple[int, int]] = []
         waiters: dict[int, list[int]] = {}
-        iq_order: deque[int] = deque()
+        iq_head = 0
         left_iq = bytearray(n)
         iq_len = 0
 
-        fetch_q: deque[int] = deque()  # decoded uops awaiting dispatch
+        # Program-order pointers: entries [committed, dispatched) are in
+        # the ROB and [dispatched, next_fetch) in the fetch queue.
         next_fetch = 0
+        dispatched = 0
         fetch_blocked_until = 0
         pending_redirect = -1  # trace idx of an unresolved mispredicted branch
         #: Last trace index whose IL1 line access already happened --
@@ -375,12 +449,24 @@ class OutOfOrderCore:
 
         cycle = 0
         committed = 0
-        resources = self.resources
+        skipped_cycles = 0
+        skip_events = 0
         units = self.units
         hierarchy = self.hierarchy
-        predictor = self.predictor
-        btb = self.btb
-        ras = self.ras
+
+        resources = self.resources
+        rob_used = resources.rob_used
+        lsq_used = resources.lsq_used
+        int_used = resources.int_regs_used
+        fp_used = resources.fp_regs_used
+        rob_peak = resources.rob_peak
+        iq_peak = resources.iq_peak
+        lsq_peak = resources.lsq_peak
+        rob_cap = resources.config.rob_entries
+        iq_cap = resources.config.iq_entries
+        lsq_cap = resources.config.lsq_entries
+        int_budget = resources.int_rename_budget
+        fp_budget = resources.fp_rename_budget
 
         measure_start_cycle = 0
         snapshot: dict[str, float] | None = None
@@ -400,10 +486,6 @@ class OutOfOrderCore:
         is_mem_t = _IS_MEM
         is_intw_t = _IS_INT_WRITER
         is_fpw_t = _IS_FP_WRITER
-        can_dispatch = resources.can_dispatch
-        do_dispatch = resources.dispatch
-        do_issue = resources.issue
-        do_commit = resources.commit
         issue_alu = units.issue_alu
         issue_lsu = units.issue_lsu
         issue_fpu = units.issue_fpu
@@ -411,10 +493,6 @@ class OutOfOrderCore:
         data_access = hierarchy.data_access
         il1_rt = hierarchy.latencies.il1_rt
         fetch_access = hierarchy.fetch
-        predictor_update = predictor.update
-        btb_update = btb.lookup_and_update
-        ras_push = ras.push
-        ras_pop = ras.pop
         heappush_ = heappush
         heappop_ = heappop
         insort_ = insort
@@ -425,19 +503,34 @@ class OutOfOrderCore:
         while committed < n:
             # ---- commit ----
             ncommit = 0
-            while rob and ncommit < commit_width:
-                head = rob[0]
-                if ready[head] >= cycle:
+            while committed < dispatched and ncommit < commit_width:
+                if ready[committed] >= cycle:
                     break
-                rob.popleft()
-                hop = op_l[head]
-                do_commit(is_mem_t[hop], is_intw_t[hop], is_fpw_t[hop])
+                hop = op_l[committed]
+                if rob_used <= 0:
+                    raise RuntimeError("ROB underflow")
+                rob_used -= 1
+                if is_mem_t[hop]:
+                    if lsq_used <= 0:
+                        raise RuntimeError("LSQ underflow")
+                    lsq_used -= 1
+                if is_intw_t[hop]:
+                    if int_used > 0:
+                        int_used -= 1
+                elif is_fpw_t[hop] and fp_used > 0:
+                    fp_used -= 1
+                if tracer is not None:
+                    tracer.emit(
+                        cycle, "commit", STAGE_COMMIT, idx=committed, op=hop
+                    )
                 committed += 1
                 ncommit += 1
-                if tracer is not None:
-                    tracer.emit(cycle, "commit", STAGE_COMMIT, idx=head, op=hop)
                 if committed == warmup:
                     act.committed = committed  # flushed from the local
+                    counts.flush(
+                        act, soa, steer, next_fetch, dispatched,
+                        skipped_cycles, skip_events,
+                    )
                     measure_start_cycle = cycle
                     snapshot = metrics.snapshot()
 
@@ -554,14 +647,15 @@ class OutOfOrderCore:
                             latency = ml
                         completion = cycle + latency
                         ready[idx] = completion
-                        do_issue()
+                        if iq_len <= 0:
+                            raise RuntimeError("issue-queue underflow")
+                        iq_len -= 1
                         nissued += 1
                         if tracer is not None:
                             tracer.emit(
                                 cycle, _TRACE_NAMES[o], STAGE_ISSUE,
                                 dur=latency, idx=idx,
                             )
-                        iq_len -= 1
                         left_iq[idx] = 1
                         if survivors is None:
                             survivors = eligible[:pos]
@@ -580,9 +674,9 @@ class OutOfOrderCore:
                     if nissued == 0:
                         # Classify by first cause exactly as the legacy
                         # walk does: the oldest still-queued op wins.
-                        while left_iq[iq_order[0]]:
-                            iq_order.popleft()
-                        oldest = iq_order[0]
+                        while left_iq[iq_head]:
+                            iq_head += 1
+                        oldest = iq_head
                         p1 = prod1_l[oldest]
                         p2 = prod2_l[oldest]
                         if p1 >= 0 and ready[p1] > cycle:
@@ -619,26 +713,45 @@ class OutOfOrderCore:
                         if wake_i < _INF:
                             iq_sleep_until = wake_i
                             sleep_kind = stall_kind
-            elif rob or fetch_q or next_fetch < n:
+            elif committed < n:
+                # Nothing queued, but entries remain in the ROB, the fetch
+                # queue or the unfetched trace.
                 act.stall_frontend_cycles += 1
                 stall_kind = 1
                 if tracer is not None:
                     tracer.emit(cycle, "stall", STAGE_STALL, reason="frontend")
 
             # ---- dispatch ----
-            ndisp = 0
-            while fetch_q and ndisp < dispatch_width:
-                idx = fetch_q[0]
+            # Program order: the candidates are [dispatched, next_fetch),
+            # capped by the dispatch width and the free ROB and IQ slots;
+            # LSQ and rename registers are checked per entry.
+            idx = dispatched
+            stop = idx + dispatch_width
+            if next_fetch < stop:
+                stop = next_fetch
+            w = idx + rob_cap - rob_used
+            if w < stop:
+                stop = w
+            w = idx + iq_cap - iq_len
+            if w < stop:
+                stop = w
+            while idx < stop:
                 o = op_l[idx]
                 is_mem = is_mem_t[o]
                 w_int = is_intw_t[o]
                 w_fp = is_fpw_t[o]
-                if not can_dispatch(is_mem, w_int, w_fp):
+                if (
+                    (is_mem and lsq_used >= lsq_cap)
+                    or (w_int and int_used >= int_budget)
+                    or (w_fp and fp_used >= fp_budget)
+                ):
                     break
-                fetch_q.popleft()
-                do_dispatch(is_mem, w_int, w_fp)
-                if steer_on:
-                    prefer_fast[idx] = steering.prefer_fast(idx)
+                if is_mem:
+                    lsq_used += 1
+                if w_int:
+                    int_used += 1
+                elif w_fp:
+                    fp_used += 1
                 if tracer is not None and is_alu_t[o]:
                     tracer.emit(
                         cycle,
@@ -648,31 +761,21 @@ class OutOfOrderCore:
                         STAGE_STEER,
                         idx=idx,
                     )
-                rob.append(idx)
-                eligible.append(idx)
-                iq_order.append(idx)
-                iq_len += 1
-                ndisp += 1
-                if o == _LOAD:
-                    act.loads += 1
-                elif o == _STORE:
-                    act.stores += 1
-                if prod1_l[idx] >= 0:
-                    if is_fp_t[o]:
-                        act.fp_reg_reads += 1
-                    else:
-                        act.int_reg_reads += 1
-                if prod2_l[idx] >= 0:
-                    if is_fp_t[o]:
-                        act.fp_reg_reads += 1
-                    else:
-                        act.int_reg_reads += 1
-                if w_int:
-                    act.int_reg_writes += 1
-                elif w_fp:
-                    act.fp_reg_writes += 1
-            act.dispatched += ndisp
+                idx += 1
+            ndisp = idx - dispatched
             if ndisp:
+                eligible += range(dispatched, idx)
+                dispatched = idx
+                rob_used += ndisp
+                iq_len += ndisp
+                # Occupancy only grows within the stage, so its end
+                # holds the cycle's high-water marks.
+                if rob_used > rob_peak:
+                    rob_peak = rob_used
+                if iq_len > iq_peak:
+                    iq_peak = iq_len
+                if lsq_used > lsq_peak:
+                    lsq_peak = lsq_used
                 iq_sleep_until = 0  # fresh entries may issue next cycle
 
             # ---- fetch ----
@@ -683,16 +786,17 @@ class OutOfOrderCore:
                 and pending_redirect < 0
                 and cycle >= fetch_blocked_until
             ):
-                while (
-                    nfetch < fetch_width
-                    and len(fetch_q) < fetch_buffer
-                    and next_fetch < n
-                ):
-                    idx = next_fetch
-                    pc = pc_l[idx]
+                idx = next_fetch
+                stop = idx + fetch_width
+                if n < stop:
+                    stop = n
+                w = dispatched + fetch_buffer
+                if w < stop:
+                    stop = w
+                while idx < stop:
                     if new_line_l[idx] and idx != line_done:
                         line_done = idx
-                        access = fetch_access(pc)
+                        access = fetch_access(pc_l[idx])
                         act.il1_accesses += 1
                         if access.latency > il1_rt:
                             fetch_blocked_until = cycle + access.latency
@@ -703,32 +807,23 @@ class OutOfOrderCore:
                                     dur=access.latency, level=access.level,
                                 )
                             break
-                    o = op_l[idx]
-                    mispredicted = False
-                    if o == _BRANCH:
-                        act.bpred_lookups += 1
-                        outcome = taken_l[idx]
-                        mispredicted = predictor_update(pc, outcome)
-                        if outcome and not btb_update(pc):
+                    flags = front_l[idx]
+                    idx += 1
+                    if flags:
+                        if flags & FRONT_BUBBLE:
                             blocked = cycle + btb_miss_penalty
                             if blocked > fetch_blocked_until:
                                 fetch_blocked_until = blocked
-                    elif o == _CALL:
-                        ras_push(pc + 4)
-                        btb_update(pc)
-                    elif o == _RET:
-                        # The trace encodes the architected return target in
-                        # addr; RAS mispredicts on overflow-induced mismatch.
-                        mispredicted = ras_pop(addr_l[idx])
-                    fetch_q.append(idx)
-                    next_fetch += 1
-                    nfetch += 1
-                    if mispredicted:
-                        pending_redirect = idx
-                        if tracer is not None:
-                            tracer.emit(cycle, "mispredict", STAGE_FETCH, idx=idx)
-                        break
-                act.fetched += nfetch
+                        if flags & FRONT_MISPREDICT:
+                            pending_redirect = idx - 1
+                            if tracer is not None:
+                                tracer.emit(
+                                    cycle, "mispredict", STAGE_FETCH,
+                                    idx=pending_redirect,
+                                )
+                            break
+                nfetch = idx - next_fetch
+                next_fetch = idx
 
             # ---- event-driven idle-cycle skip ----
             # A cycle in which commit, issue, dispatch, and fetch all made
@@ -746,8 +841,8 @@ class OutOfOrderCore:
                 and (not iq_len or iq_sleep_until > cycle)
             ):
                 wake = _INF
-                if rob:
-                    w = ready[rob[0]] + 1
+                if committed < dispatched:
+                    w = ready[committed] + 1
                     if w < wake:
                         wake = w
                 # The no-issue scan above already reduced the issue queue's
@@ -762,8 +857,8 @@ class OutOfOrderCore:
                     wake = fetch_blocked_until
                 extra = wake - cycle - 1
                 if extra > 0 and wake < _INF:
-                    self.skipped_cycles += extra
-                    self.skip_events += 1
+                    skipped_cycles += extra
+                    skip_events += 1
                     if tracer is not None:
                         # One synthetic event stands in for the per-cycle
                         # stall events the legacy walk would have emitted
@@ -792,15 +887,28 @@ class OutOfOrderCore:
         if snapshot is None:
             raise RuntimeError("warmup never completed")
         act.committed = committed  # flushed from the local (see commit loop)
+        counts.flush(
+            act, soa, steer, next_fetch, dispatched, skipped_cycles, skip_events
+        )
+        self.skipped_cycles = skipped_cycles
+        self.skip_events = skip_events
+        resources.rob_used = rob_used
+        resources.iq_used = iq_len
+        resources.lsq_used = lsq_used
+        resources.int_regs_used = int_used
+        resources.fp_regs_used = fp_used
+        resources.rob_peak = rob_peak
+        resources.iq_peak = iq_peak
+        resources.lsq_peak = lsq_peak
         undrained = (
-            len(rob)
+            (dispatched - committed)
             + iq_len
-            + len(fetch_q)
-            + resources.rob_used
-            + resources.iq_used
-            + resources.lsq_used
-            + resources.int_regs_used
-            + resources.fp_regs_used
+            + (next_fetch - dispatched)
+            + rob_used
+            + iq_len
+            + lsq_used
+            + int_used
+            + fp_used
         )
         return self._finalize(
             metrics.delta(snapshot),

@@ -55,8 +55,8 @@ class CoreResources:
         self.lsq_used = 0
         self.int_regs_used = 0
         self.fp_regs_used = 0
-        self._int_rename_budget = max(1, config.int_regs - ARCH_INT_REGS)
-        self._fp_rename_budget = max(1, config.fp_regs - ARCH_FP_REGS)
+        self.int_rename_budget = max(1, config.int_regs - ARCH_INT_REGS)
+        self.fp_rename_budget = max(1, config.fp_regs - ARCH_FP_REGS)
         # High-water marks, reported for occupancy analysis.
         self.rob_peak = 0
         self.iq_peak = 0
@@ -70,9 +70,9 @@ class CoreResources:
             return False
         if needs_lsq and self.lsq_used >= self.config.lsq_entries:
             return False
-        if writes_int and self.int_regs_used >= self._int_rename_budget:
+        if writes_int and self.int_regs_used >= self.int_rename_budget:
             return False
-        if writes_fp and self.fp_regs_used >= self._fp_rename_budget:
+        if writes_fp and self.fp_regs_used >= self.fp_rename_budget:
             return False
         return True
 

@@ -15,8 +15,11 @@ from __future__ import annotations
 from repro.cpu.trace import Trace
 from repro.cpu.uops import UopType
 
+#: Farthest consumer a fast ALU can help (see :meth:`DualSpeedSteering.prefer_fast`).
+MAX_CONSUMER_DISTANCE = 2
+
 #: Ops eligible for steering (they execute on the ALU cluster).
-_ALU_OPS = frozenset(
+STEERED_OPS = frozenset(
     {int(UopType.IALU), int(UopType.BRANCH), int(UopType.CALL), int(UopType.RET)}
 )
 
@@ -29,7 +32,7 @@ class DualSpeedSteering:
         trace: Trace,
         window: int = 4,
         enabled: bool = True,
-        max_consumer_distance: int = 2,
+        max_consumer_distance: int = MAX_CONSUMER_DISTANCE,
     ):
         if window <= 0:
             raise ValueError("steering window must be positive")
@@ -54,7 +57,7 @@ class DualSpeedSteering:
         on the power-efficient TFET ALUs, one of the scheme's stated
         objectives.  Only meaningful for ALU-class ops.
         """
-        if not self.enabled or int(self._op[idx]) not in _ALU_OPS:
+        if not self.enabled or int(self._op[idx]) not in STEERED_OPS:
             return False
         self.examined += 1
         src1 = self._src1
@@ -71,19 +74,3 @@ class DualSpeedSteering:
     def preference_rate(self) -> float:
         """Fraction of examined ALU ops steered to the fast ALU."""
         return self.preferred / self.examined if self.examined else 0.0
-
-    @property
-    def fast_dispatches(self) -> int:
-        """ALU ops steered to the CMOS (fast) ALU at dispatch."""
-        return self.preferred
-
-    @property
-    def slow_dispatches(self) -> int:
-        """ALU ops left to the TFET (slow) ALUs at dispatch."""
-        return self.examined - self.preferred
-
-    def publish(self, registry, prefix: str = "steer") -> None:
-        """Register lazy probes for the steering decision counters."""
-        registry.probe(f"{prefix}.examined", lambda: self.examined)
-        registry.probe(f"{prefix}.fast_alu_dispatches", lambda: self.fast_dispatches)
-        registry.probe(f"{prefix}.slow_alu_dispatches", lambda: self.slow_dispatches)

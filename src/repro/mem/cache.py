@@ -77,6 +77,12 @@ class Cache:
     Each set keeps its lines in recency order (index 0 = MRU).  Dirty state
     is tracked per line (one flat set of line numbers for the whole cache)
     so writebacks can be counted for the energy model.
+
+    Sets are copy-on-write: a set is a tuple (the empty one when built,
+    or one shared with a :class:`CacheSnapshot` after :meth:`restore`)
+    until its first mutation turns it into a list of its own, so
+    building or restoring a cache costs one list of ``n_sets`` references
+    rather than ``n_sets`` lists.  Reads never copy.
     """
 
     def __init__(
@@ -106,11 +112,19 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = n_sets - 1
         self._tag_shift = n_sets.bit_length() - 1
-        # Per set: list of tags in recency order.  Dirty lines, by line
-        # number (``(tag << tag_shift) | set``), across all sets.
-        self._tags: list[list[int]] = [[] for _ in range(n_sets)]
+        # Per set: tags in recency order (a tuple until first written;
+        # see the class docstring).  Dirty lines, by line number
+        # (``(tag << tag_shift) | set``), across all sets.
+        self._tags: "list[list[int] | tuple[int, ...]]" = [()] * n_sets
         self._dirty: set[int] = set()
         self.stats = CacheStats()
+
+    def _writable(self, set_idx: int) -> "list[int]":
+        """Set ``set_idx``'s tags as a list this cache owns (copy-on-write)."""
+        tags = self._tags[set_idx]
+        if tags.__class__ is tuple:
+            tags = self._tags[set_idx] = list(tags)
+        return tags
 
     def _index_tag(self, addr: int) -> tuple[int, int]:
         line = addr >> self._line_shift
@@ -133,6 +147,7 @@ class Cache:
         if tag in tags:
             stats.hits += 1
             if tags[0] != tag:
+                tags = self._writable(set_idx)
                 tags.remove(tag)
                 tags.insert(0, tag)
             if is_write:
@@ -148,12 +163,14 @@ class Cache:
         Used where fill policy is decided elsewhere (asymmetric cache).
         """
         line = addr >> self._line_shift
-        tags = self._tags[line & self._set_mask]
+        set_idx = line & self._set_mask
+        tags = self._tags[set_idx]
         tag = line >> self._tag_shift
         self.stats.accesses += 1
         if tag in tags:
             self.stats.hits += 1
             if tags[0] != tag:
+                tags = self._writable(set_idx)
                 tags.remove(tag)
                 tags.insert(0, tag)
             if is_write:
@@ -163,7 +180,7 @@ class Cache:
         return False
 
     def _fill(self, set_idx: int, tag: int, is_write: bool) -> None:
-        tags = self._tags[set_idx]
+        tags = self._writable(set_idx)
         dirty = self._dirty
         if len(tags) >= self.assoc:
             victim = (tags.pop() << self._tag_shift) | set_idx
@@ -223,9 +240,10 @@ class Cache:
                         if victim in dirty:
                             dirty.discard(victim)
                             writebacks += 1
-                del tags[keep:]
             evictions += k - m
-            tags[:0] = range(t0 + k - 1, t0 + k - 1 - m, -1)
+            all_tags[set_idx] = [
+                *range(t0 + k - 1, t0 + k - 1 - m, -1), *tags[:keep]
+            ]
         stats.accesses += filled
         stats.misses += filled
         stats.evictions += evictions
@@ -238,11 +256,11 @@ class Cache:
         partitions without charging hits/misses.
         """
         line = addr >> self._line_shift
-        tags = self._tags[line & self._set_mask]
+        set_idx = line & self._set_mask
         tag = line >> self._tag_shift
-        if tag not in tags:
+        if tag not in self._tags[set_idx]:
             return False, False
-        tags.remove(tag)
+        self._writable(set_idx).remove(tag)
         dirty = line in self._dirty
         self._dirty.discard(line)
         return True, dirty
@@ -256,7 +274,7 @@ class Cache:
         """
         line = addr >> self._line_shift
         set_idx = line & self._set_mask
-        tags = self._tags[set_idx]
+        tags = self._writable(set_idx)
         tag = line >> self._tag_shift
         all_dirty = self._dirty
         victim_addr: int | None = None
@@ -297,8 +315,7 @@ class Cache:
 
     def invalidate_all(self) -> None:
         """Drop every line (statistics are preserved)."""
-        for tags in self._tags:
-            tags.clear()
+        self._tags = [()] * self.n_sets
         self._dirty.clear()
 
     @property
@@ -312,8 +329,9 @@ class Cache:
 
         Equal per-set tag tuples are stored once and every tag int is
         interned, so a warm 8 MB L3 -- whose sets mostly hold the same
-        tags -- costs a few distinct tuples, and the lists
-        :meth:`restore` builds share the snapshot's int objects.
+        tags -- costs a few distinct tuples, which :meth:`restore`
+        installs as they are (copy-on-write sets, see the class
+        docstring).
         """
         tuples: "dict[tuple[int, ...], tuple[int, ...]]" = {}
         ints: "dict[int, int]" = {}
@@ -339,7 +357,7 @@ class Cache:
                 f"{self.name}: snapshot has {len(snapshot.tags)} sets, "
                 f"cache has {self.n_sets}"
             )
-        self._tags = list(map(list, snapshot.tags))
+        self._tags = list(snapshot.tags)  # shared until written
         self._dirty = set(snapshot.dirty)
         stats = self.stats
         (stats.accesses, stats.hits, stats.misses, stats.evictions,

@@ -1,5 +1,8 @@
 """Tests for the dual-speed ALU dispatch steering (Section IV-C2)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cpu.steering import DualSpeedSteering
 from repro.cpu.trace import Trace
 from repro.cpu.uops import UopType
@@ -97,3 +100,38 @@ class TestStatistics:
         assert examined > 0
         assert preferred / examined < 0.5
         del np
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(list(UopType)),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=4),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    window=st.integers(min_value=1, max_value=4),
+)
+def test_steer_columns_match_per_dispatch_decisions(entries, window):
+    """The fast path's per-trace column and prefix counts equal
+    ``prefer_fast`` called on every entry in program order."""
+    from repro.cpu.soa import steer_columns
+
+    ops = [op for op, _, _ in entries]
+    # Distances may not reach before entry 0.
+    src1 = [min(d, i) for i, (_, d, _) in enumerate(entries)]
+    src2 = [min(d, i) for i, (_, _, d) in enumerate(entries)]
+    trace = Trace.from_lists(ops, src1=src1, src2=src2)
+    steering = DualSpeedSteering(trace, window=window)
+    columns = steer_columns(trace, steering.window)
+    for idx in range(len(ops)):
+        assert columns.counts[:, idx].tolist() == [
+            steering.examined, steering.preferred
+        ]
+        assert columns.prefer_fast[idx] == steering.prefer_fast(idx)
+    assert columns.counts[:, len(ops)].tolist() == [
+        steering.examined, steering.preferred
+    ]

@@ -288,10 +288,24 @@ class TestSnapshotRoundTrip:
         cache.fill_range(0, 16 * 1024 * 1024)
         snapshot = cache.snapshot()
         assert len({id(t) for t in snapshot.tags}) == 1
-        restored = Cache("l3", 8 * 1024 * 1024, 16)
+        restored, second = (Cache("l3", 8 * 1024 * 1024, 16) for _ in range(2))
         restored.restore(snapshot)
-        assert restored._tags[0] is not restored._tags[1]
+        second.restore(snapshot)
         assert restored._tags[0][0] is restored._tags[1][0]
+        frozen = repr(snapshot)
+        set1 = list(restored._tags[1])
+        # Writes into set 0 -- a hit that reorders it and a dirty miss
+        # that fills it -- stay private to set 0 of ``restored``.
+        set0_addr = 1 << (restored._tag_shift + restored._line_shift)
+        restored.access(20 * set0_addr)
+        restored.access(4096 * set0_addr, is_write=True)
+        assert list(restored._tags[0][:3]) == [4096, 20, 31]
+        assert list(restored._tags[1]) == set1
+        assert repr(snapshot) == frozen
+        assert [list(t) for t in second._tags] == [
+            list(t) for t in snapshot.tags
+        ]
+        assert second._dirty == set()
 
 
 def _canon(run) -> str:

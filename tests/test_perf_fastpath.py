@@ -110,6 +110,131 @@ def test_cpu_skip_counters_and_escape_hatch(monkeypatch):
         )
 
 
+#: (design, app, instructions, warm-up, detailed cores): a steering and a
+#: non-steering design, a run measured from cycle 0, and a multicore
+#: cell with two detailed cores.
+ENGINE_STATE_CELLS = [
+    ("AdvHet", "lu", 4000, 1000, 1),
+    ("BaseTFET", "canneal", 4000, 1000, 1),
+    ("AdvHet", "fft", 3000, 0, 1),
+    ("AdvHet-2X", "barnes", 3000, 750, 2),
+]
+
+_RESOURCE_FIELDS = (
+    "rob_used", "iq_used", "lsq_used", "int_regs_used", "fp_regs_used",
+    "rob_peak", "iq_peak", "lsq_peak",
+)
+
+
+def _engine_state(monkeypatch, hatch, design, app, instructions, warmup,
+                  detailed_cores):
+    """Per detailed core: the measured-window registry delta, the final
+    registry snapshot and the resource occupancy, plus the serialised
+    cell.  Cycle-skip telemetry (``engine.*``) is the one intended
+    difference between the engines and is left out."""
+    import repro.core.simulate as simulate_mod
+    from repro.cpu.core import OutOfOrderCore
+
+    if hatch:
+        monkeypatch.setenv(HATCH, "1")
+    else:
+        monkeypatch.delenv(HATCH, raising=False)
+    cores, deltas = [], []
+    build, finalize = simulate_mod.build_cpu_core, OutOfOrderCore._finalize
+
+    def spy_build(*args, **kwargs):
+        cores.append(build(*args, **kwargs))
+        return cores[-1]
+
+    def spy_finalize(self, delta, *args, **kwargs):
+        deltas.append(dict(delta))
+        return finalize(self, delta, *args, **kwargs)
+
+    monkeypatch.setattr(simulate_mod, "build_cpu_core", spy_build)
+    monkeypatch.setattr(OutOfOrderCore, "_finalize", spy_finalize)
+    run = simulate_cpu(
+        cpu_config(design), app, instructions=instructions, warmup=warmup,
+        detailed_cores=detailed_cores,
+    )
+    monkeypatch.undo()
+
+    def counters(flat):
+        return {k: v for k, v in flat.items() if not k.startswith("engine.")}
+
+    assert len(cores) == len(deltas) == detailed_cores
+    per_core = [
+        {
+            "delta": counters(delta),
+            "final": counters(core.metrics.snapshot()),
+            "resources": {f: getattr(core.resources, f) for f in _RESOURCE_FIELDS},
+        }
+        for core, delta in zip(cores, deltas)
+    ]
+    return json.dumps(dataclasses.asdict(run), sort_keys=True, default=str), per_core
+
+
+@pytest.mark.parametrize("cell", ENGINE_STATE_CELLS, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_fast_engine_state_matches_oracle(monkeypatch, cell):
+    """Beyond the result: every registry counter (branch predictor,
+    steering, activity, caches, units) over the measured window and in
+    total, and the ROB/IQ/LSQ/register occupancy and peaks, agree
+    between the fast path and the ``REPRO_NO_CYCLE_SKIP=1`` walk."""
+    fast_run, fast = _engine_state(monkeypatch, False, *cell)
+    slow_run, slow = _engine_state(monkeypatch, True, *cell)
+    assert fast == slow
+    assert fast_run == slow_run
+    design = cell[0]
+    for core in fast:
+        delta = core["delta"]
+        assert delta["bpred.lookups"] > 0 and delta["bpred.mispredictions"] > 0
+        assert delta["activity.dispatched"] > 0 and delta["activity.loads"] > 0
+        assert (delta["steer.examined"] > 0) == design.startswith("AdvHet")
+        assert core["resources"]["rob_peak"] > 0
+        assert core["resources"]["rob_used"] == 0
+
+
+def test_finished_core_is_freed_without_the_cycle_collector(monkeypatch):
+    """No reference cycle holds a finished core: with the cyclic GC off,
+    the core and its L3 die as soon as ``simulate_cpu`` returns."""
+    import gc
+    import weakref
+
+    import repro.core.simulate as simulate_mod
+
+    refs = []
+    build = simulate_mod.build_cpu_core
+
+    def spy_build(*args, **kwargs):
+        core = build(*args, **kwargs)
+        refs.append((weakref.ref(core), weakref.ref(core.hierarchy.l3)))
+        return core
+
+    monkeypatch.setattr(simulate_mod, "build_cpu_core", spy_build)
+    for hatch in (None, "1"):
+        if hatch is None:
+            monkeypatch.delenv(HATCH, raising=False)
+        else:
+            monkeypatch.setenv(HATCH, hatch)
+        gc.collect()
+        gc.disable()
+        try:
+            simulate_cpu(cpu_config("AdvHet"), "lu", instructions=2000, warmup=500)
+            assert refs and all(
+                core() is None and l3() is None for core, l3 in refs
+            )
+        finally:
+            gc.enable()
+        refs.clear()
+
+
+def test_core_runs_one_trace():
+    trace = cached_trace(cpu_app("lu"), 1000, seed=0)
+    core = build_cpu_core(cpu_config("BaseCMOS"), cpu_app("lu"))
+    core.run(trace, warmup=100)
+    with pytest.raises(RuntimeError, match="already ran"):
+        core.run(trace, warmup=100)
+
+
 def test_gpu_skip_counters_and_escape_hatch(monkeypatch):
     design = gpu_config("BaseCMOS")
     profile = gpu_kernel("DCT")
@@ -159,16 +284,29 @@ def test_result_dataclasses_hold_native_scalars_only(monkeypatch):
 
 def test_soa_buffers_hold_native_scalars_only():
     """The cached SoA decode must hand the hot loop plain Python lists of
-    native scalars -- one boxed numpy value re-boxes every downstream op."""
-    from repro.cpu.soa import decode_trace
+    native scalars -- one boxed numpy value re-boxes every downstream op.
+    The prefix-count tables stay numpy (read twice per run, off the
+    per-uop path), but the columns the engine reads must unbox to ints."""
+    from repro.cpu.soa import decode_trace, steer_columns
 
     trace = cached_trace(cpu_app("canneal"), 3000, seed=0)
     soa = decode_trace(trace)
-    for f in dataclasses.fields(soa):
-        values = getattr(soa, f.name)
-        assert isinstance(values, list), f"soa.{f.name} is not a list"
-        _assert_native(values[:64], f"soa.{f.name}")
+    steer = steer_columns(trace, 2)
+    for obj in (soa, steer):
+        for f in dataclasses.fields(obj):
+            values = getattr(obj, f.name)
+            name = f"{type(obj).__name__}.{f.name}"
+            if f.name.endswith("counts"):
+                assert values.shape[1] == len(trace) + 1, name
+                for column in (0, 1500, len(trace)):
+                    got = values[:, column].tolist()
+                    assert all(type(v) is int for v in got), name
+                continue
+            assert isinstance(values, list), f"{name} is not a list"
+            assert len(values) == len(trace), name
+            _assert_native(values[:64], name)
     assert decode_trace(trace) is decode_trace(trace)  # memoised on the trace
+    assert steer_columns(trace, 2) is steer
 
 
 def test_batch_driver_results_hold_native_scalars_only():
