@@ -95,6 +95,7 @@ the resilience path) obeys ``REPRO_FAULTS`` and friends
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import signal
 import sys
@@ -338,17 +339,98 @@ def _checkpoint_error(args: argparse.Namespace) -> "str | None":
     return None
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _config_error(args: argparse.Namespace) -> "str | None":
+    """Which of a sweep's ``configs`` are unknown, or None."""
     known = GPU_CONFIGS if args.gpu else CPU_CONFIGS
     unknown = [n for n in args.configs if n not in known]
     if unknown:
         kind = "GPU" if args.gpu else "CPU"
-        print(
-            f"unknown {kind} configs: {unknown}; choose from {sorted(known)}",
-            file=sys.stderr,
+        return f"unknown {kind} configs: {unknown}; choose from {sorted(known)}"
+    return None
+
+
+@contextlib.contextmanager
+def _signals_to(handler, signums=(signal.SIGTERM, signal.SIGINT)):
+    """Route ``signums`` to ``handler`` for the block, then restore the
+    previous handlers.  Off the main thread (embedded callers) signals
+    cannot be routed, and the block runs with them unchanged."""
+    previous = []
+    for signum in signums:
+        try:
+            previous.append((signum, signal.signal(signum, handler)))
+        except ValueError:  # not the main thread
+            pass
+    try:
+        yield
+    finally:
+        for signum, old in previous:
+            if old is not None:  # None: not installed from Python
+                signal.signal(signum, old)
+
+
+def _sweep_report(
+    args: argparse.Namespace,
+    runner: SweepRunner,
+    results: dict,
+    workloads: "list[str]",
+    fabric: "dict | None" = None,
+) -> int:
+    """Print a finished sweep's ``--json`` document or text status block
+    (with the fabric's counters when it ran as one); exit 3 on gaps."""
+    failures = list(runner.failures.values())
+    if args.json:
+        doc = {
+            "kind": "gpu" if args.gpu else "cpu",
+            "configs": args.configs,
+            "workloads": workloads,
+            "cells": {
+                config: {
+                    workload: (
+                        None if run is None else {
+                            "time_s": run.time_s,
+                            "energy_j": run.energy_j,
+                            "ed2": run.ed2,
+                        }
+                    )
+                    for workload, run in row.items()
+                }
+                for config, row in results.items()
+            },
+            "failures": [f.to_dict() for f in failures],
+            "failure_table": failure_table(failures),
+            "telemetry": runner.telemetry.summary(),
+        }
+        if fabric is not None:
+            doc["fabric"] = fabric
+        print(json.dumps(doc, indent=2))
+    else:
+        total = len(args.configs) * len(workloads)
+        done = sum(
+            1 for row in results.values() for run in row.values()
+            if run is not None
         )
-        return 2
-    error = _checkpoint_error(args)
+        print(_sweep_status_table(results, workloads))
+        status = f"\n{done}/{total} cells ok, {len(failures)} failed"
+        if fabric is not None:
+            counters = fabric["counters"]
+            status += (
+                f" | {counters['nodes_joined']} node(s) joined, "
+                f"{counters['nodes_dead']} died, "
+                f"{counters['resubmitted']} resubmitted, "
+                f"{counters['fenced']} fenced, "
+                f"{counters['duplicates']} duplicates dropped"
+            )
+        print(status)
+        if failures:
+            print(failure_table(failures))
+        print(runner.telemetry.cache_summary())
+        if args.checkpoint:
+            print(f"checkpoint: {args.checkpoint}")
+    return 3 if failures else 0
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    error = _config_error(args) or _checkpoint_error(args)
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -372,17 +454,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         store=args.store,
     )
     workloads = runner.settings.kernels if args.gpu else runner.settings.apps
-    interrupted = False
 
     def _on_sigterm(_signum, _frame):
         raise _SweepTerminated()
 
     try:
-        old_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:  # not the main thread (embedded callers)
-        old_sigterm = None
-    try:
-        try:
+        with _signals_to(_on_sigterm, (signal.SIGTERM,)):
             if args.gpu:
                 results = runner.gpu_sweep(
                     args.configs, workers=args.workers, isolation=args.isolation
@@ -391,77 +468,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 results = runner.cpu_sweep(
                     args.configs, workers=args.workers, isolation=args.isolation
                 )
-        except SweepError as exc:
-            print(f"sweep aborted (--fail-fast): {exc}", file=sys.stderr)
-            return 1
-        except _SweepTerminated:
-            # SIGTERM = an orchestrator asking for an orderly stop: report
-            # "completed with gaps" (exit 3); every finished cell is
-            # already saved, so `--checkpoint ... --resume` runs the rest.
-            hint = (
-                f"; rerun with --checkpoint {args.checkpoint} --resume "
-                f"to continue"
-                if args.checkpoint
-                else ""
-            )
-            print(f"\nsweep terminated (SIGTERM){hint}", file=sys.stderr)
-            return 3
-        except KeyboardInterrupt:
-            interrupted = True
-            results = {}
-    finally:
-        if old_sigterm is not None:
-            signal.signal(signal.SIGTERM, old_sigterm)
-    failures = list(runner.failures.values())
-    if interrupted:
+    except SweepError as exc:
+        print(f"sweep aborted (--fail-fast): {exc}", file=sys.stderr)
+        return 1
+    except (_SweepTerminated, KeyboardInterrupt) as exc:
         hint = (
             f"; rerun with --checkpoint {args.checkpoint} --resume to continue"
             if args.checkpoint
             else ""
         )
-        print(f"\nsweep interrupted{hint}", file=sys.stderr)
-        return 130
-    if args.json:
-        cells = {
-            config: {
-                workload: (
-                    None if run is None else {
-                        "time_s": run.time_s,
-                        "energy_j": run.energy_j,
-                        "ed2": run.ed2,
-                    }
-                )
-                for workload, run in row.items()
-            }
-            for config, row in results.items()
-        }
-        print(
-            json.dumps(
-                {
-                    "kind": "gpu" if args.gpu else "cpu",
-                    "configs": args.configs,
-                    "workloads": workloads,
-                    "cells": cells,
-                    "failures": [f.to_dict() for f in failures],
-                    "failure_table": failure_table(failures),
-                    "telemetry": runner.telemetry.summary(),
-                },
-                indent=2,
-            )
-        )
-    else:
-        total = len(args.configs) * len(workloads)
-        done = sum(
-            1 for row in results.values() for run in row.values() if run is not None
-        )
-        print(_sweep_status_table(results, workloads))
-        print(f"\n{done}/{total} cells ok, {len(failures)} failed")
-        if failures:
-            print(failure_table(failures))
-        print(runner.telemetry.cache_summary())
-        if args.checkpoint:
-            print(f"checkpoint: {args.checkpoint}")
-    return 3 if failures else 0
+        if isinstance(exc, KeyboardInterrupt):
+            print(f"\nsweep interrupted{hint}", file=sys.stderr)
+            return 130
+        # SIGTERM = an orchestrator asking for an orderly stop: report
+        # "completed with gaps" (exit 3); every finished cell is
+        # already saved, so `--checkpoint ... --resume` runs the rest.
+        print(f"\nsweep terminated (SIGTERM){hint}", file=sys.stderr)
+        return 3
+    return _sweep_report(args, runner, results, workloads)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -499,16 +523,7 @@ def _cmd_fabric_coordinator(args: argparse.Namespace) -> int:
 
     from repro.fabric import FabricConfig, FabricCoordinator
 
-    known = GPU_CONFIGS if args.gpu else CPU_CONFIGS
-    unknown = [n for n in args.configs if n not in known]
-    if unknown:
-        kind = "GPU" if args.gpu else "CPU"
-        print(
-            f"unknown {kind} configs: {unknown}; choose from {sorted(known)}",
-            file=sys.stderr,
-        )
-        return 2
-    error = _checkpoint_error(args)
+    error = _config_error(args) or _checkpoint_error(args)
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -545,15 +560,6 @@ def _cmd_fabric_coordinator(args: argparse.Namespace) -> int:
         ),
     )
 
-    def _on_signal(_signum, _frame):
-        coordinator.request_shutdown()
-
-    old_handlers = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            old_handlers.append((signum, signal.signal(signum, _on_signal)))
-        except ValueError:  # not the main thread (embedded callers)
-            pass
     async def _serve_with_status_front():
         # A status-only front door next to the fabric listener: no job
         # routes, just healthz/readyz/metrics and GET /v1/fleet from
@@ -583,14 +589,11 @@ def _cmd_fabric_coordinator(args: argparse.Namespace) -> int:
             front.request_shutdown()
             await front.drain()
 
-    try:
+    with _signals_to(lambda _signum, _frame: coordinator.request_shutdown()):
         if args.http:
             fabric_summary = asyncio.run(_serve_with_status_front())
         else:
             fabric_summary = asyncio.run(coordinator.serve())
-    finally:
-        for signum, handler in old_handlers:
-            signal.signal(signum, handler)
 
     # Assemble the report straight from the runner caches in
     # deterministic cell order -- the exact construction the serial
@@ -601,58 +604,7 @@ def _cmd_fabric_coordinator(args: argparse.Namespace) -> int:
         config: {w: cache.get((config, w)) for w in workloads}
         for config in args.configs
     }
-    failures = list(runner.failures.values())
-    if args.json:
-        cells_doc = {
-            config: {
-                workload: (
-                    None if run is None else {
-                        "time_s": run.time_s,
-                        "energy_j": run.energy_j,
-                        "ed2": run.ed2,
-                    }
-                )
-                for workload, run in row.items()
-            }
-            for config, row in results.items()
-        }
-        print(
-            json.dumps(
-                {
-                    "kind": run_kind,
-                    "configs": args.configs,
-                    "workloads": workloads,
-                    "cells": cells_doc,
-                    "failures": [f.to_dict() for f in failures],
-                    "failure_table": failure_table(failures),
-                    "telemetry": runner.telemetry.summary(),
-                    "fabric": fabric_summary,
-                },
-                indent=2,
-            )
-        )
-    else:
-        total = len(args.configs) * len(workloads)
-        done = sum(
-            1 for row in results.values() for run in row.values()
-            if run is not None
-        )
-        print(_sweep_status_table(results, workloads))
-        counters = fabric_summary["counters"]
-        print(
-            f"\n{done}/{total} cells ok, {len(failures)} failed | "
-            f"{counters['nodes_joined']} node(s) joined, "
-            f"{counters['nodes_dead']} died, "
-            f"{counters['resubmitted']} resubmitted, "
-            f"{counters['fenced']} fenced, "
-            f"{counters['duplicates']} duplicates dropped"
-        )
-        if failures:
-            print(failure_table(failures))
-        print(runner.telemetry.cache_summary())
-        if args.checkpoint:
-            print(f"checkpoint: {args.checkpoint}")
-    return 3 if failures else 0
+    return _sweep_report(args, runner, results, workloads, fabric_summary)
 
 
 def _cmd_fabric_node(args: argparse.Namespace) -> int:
@@ -683,20 +635,8 @@ def _cmd_fabric_node(args: argparse.Namespace) -> int:
         health_file=args.health_file,
     ))
 
-    def _on_signal(_signum, _frame):
-        node.request_shutdown()
-
-    old_handlers = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            old_handlers.append((signum, signal.signal(signum, _on_signal)))
-        except ValueError:
-            pass
-    try:
+    with _signals_to(lambda _signum, _frame: node.request_shutdown()):
         summary = node.run()
-    finally:
-        for signum, handler in old_handlers:
-            signal.signal(signum, handler)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -827,13 +767,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             service.request_shutdown()
 
-    old_handlers = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            old_handlers.append((signum, signal.signal(signum, _on_signal)))
-        except ValueError:  # not the main thread (embedded callers)
-            pass
-
     def _narrate(line: str, admission) -> None:
         if admission is None:
             print(f"serve: {line}", file=sys.stderr)
@@ -844,7 +777,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    try:
+    with _signals_to(_on_signal):
         service.start()
         submitted = malformed = 0
         if front is None:
@@ -891,9 +824,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 intake_thread.join(timeout=args.drain_deadline)
                 submitted, malformed = intake_done.get("result", (0, 0))
         summary = service.shutdown()
-    finally:
-        for signum, handler in old_handlers:
-            signal.signal(signum, handler)
 
     if obs_requested:
         from repro.obs.events import chrome_trace, get_event_log

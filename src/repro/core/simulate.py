@@ -13,12 +13,13 @@ produces identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from repro.core.hetcore import CpuDesign, GpuDesign
 from repro.cpu.core import CoreConfig, CoreResult, OutOfOrderCore
 from repro.cpu.multicore import MulticoreResult, run_multicore
 from repro.gpu.cu import CUConfig
+from repro.gpu.cu_batch import CellOutcome, contain
 from repro.gpu.gpu import GpuConfig, GpuResult, run_gpu, run_gpu_batch
 from repro.power.metrics import ed2_product, ed_product
 from repro.power.model import EnergyBreakdown, cpu_energy, gpu_energy
@@ -211,20 +212,12 @@ def simulate_cpu(
     )
 
 
-@dataclass
-class CpuCellOutcome:
-    """One cell's outcome from :func:`simulate_cpu_batch`."""
-
-    result: "CpuRunResult | None"
-    error: "Exception | None"
-
-
 def simulate_cpu_batch(
     cells: "list[tuple[CpuDesign, str | AppProfile]]",
     instructions: int = DEFAULT_INSTRUCTIONS,
     warmup: int = DEFAULT_WARMUP,
     seed: int = 0,
-) -> "list[CpuCellOutcome]":
+) -> "list[CellOutcome]":
     """Run many (design, app) cells with per-cell failure containment.
 
     The CPU engine's per-uop control flow cannot run multiple cells in
@@ -238,20 +231,20 @@ def simulate_cpu_batch(
     copy-on-write -- so unboxing, branch prediction, steering and cache
     prewarm are paid once per app, not once per (config, core).
     Results are byte-identical to calling :func:`simulate_cpu` per cell;
-    a raising cell yields ``error`` while its siblings complete.
+    each cell is one :func:`~repro.gpu.cu_batch.contain`-ed
+    :class:`~repro.gpu.cu_batch.CellOutcome` whose ``result`` is its
+    :class:`CpuRunResult`, so a raising cell yields ``error`` while its
+    siblings complete.
     """
-    outcomes: "list[CpuCellOutcome]" = []
-    for design, app in cells:
-        try:
-            result = simulate_cpu(
-                design, app, instructions=instructions, warmup=warmup,
-                seed=seed,
+    return [
+        contain(
+            partial(
+                simulate_cpu, design, app, instructions=instructions,
+                warmup=warmup, seed=seed,
             )
-        except Exception as exc:
-            outcomes.append(CpuCellOutcome(result=None, error=exc))
-        else:
-            outcomes.append(CpuCellOutcome(result=result, error=None))
-    return outcomes
+        )
+        for design, app in cells
+    ]
 
 
 def _gpu_config(design: GpuDesign) -> GpuConfig:
@@ -293,75 +286,36 @@ def _gpu_run_result(
     )
 
 
-@dataclass
-class GpuCellOutcome:
-    """One cell's outcome from :func:`simulate_gpu_batch`."""
-
-    result: "GpuRunResult | None"
-    error: "Exception | None"
-    vectorized: bool = False
-    #: Idle cycles the event-driven skip jumped over (telemetry only).
-    skipped_cycles: int = 0
-    skip_events: int = 0
-
-
 def simulate_gpu_batch(
     cells: "list[tuple[GpuDesign, str | KernelProfile]]",
     seed: int = 0,
-) -> "list[GpuCellOutcome]":
+) -> "list[CellOutcome]":
     """Run many (design, kernel) cells through the batched GPU engine.
 
-    The batch driver amortises trace-cache lookups and engine
-    construction across the batch while producing per-cell results
+    One :func:`run_gpu_batch` call runs every cell whose kernel and
+    config resolve; each of its outcomes then has its ``result``
+    swapped from the :class:`GpuResult` to the cell's
+    :class:`GpuRunResult`, keeping the engine's telemetry.  Results are
     byte-identical to :func:`simulate_gpu`.  A cell that raises --
-    during setup, inside the engine, or in the energy model -- yields an
-    outcome with ``error`` set; the other cells complete normally.
+    during setup, inside the engine, or in the energy model -- yields
+    an outcome with ``error`` set; the other cells complete normally.
     """
-    resolved: "list[tuple[GpuDesign, KernelProfile] | None]" = []
-    engine_cells = []
-    outcomes: "list[GpuCellOutcome | None]" = [None] * len(cells)
-    for idx, (design, kernel) in enumerate(cells):
-        try:
-            profile = gpu_kernel(kernel) if isinstance(kernel, str) else kernel
-            trace = cached_kernel(profile, seed=seed)
-            engine_cells.append((_gpu_config(design), trace))
-            resolved.append((design, profile))
-        except Exception as exc:
-            outcomes[idx] = GpuCellOutcome(result=None, error=exc)
-            resolved.append(None)
-    engine_outcomes = iter(run_gpu_batch(engine_cells))
-    for idx, pair in enumerate(resolved):
-        if pair is None:
-            continue
-        design, profile = pair
-        out = next(engine_outcomes)
-        if out.error is not None:
-            outcomes[idx] = GpuCellOutcome(
-                result=None,
-                error=out.error,
-                vectorized=out.vectorized,
-                skipped_cycles=out.skipped_cycles,
-                skip_events=out.skip_events,
+
+    def setup(design: GpuDesign, kernel) -> tuple:
+        profile = gpu_kernel(kernel) if isinstance(kernel, str) else kernel
+        return profile, _gpu_config(design), cached_kernel(profile, seed=seed)
+
+    outcomes = [contain(partial(setup, d, k)) for d, k in cells]
+    ready = [i for i, out in enumerate(outcomes) if out.error is None]
+    engine = run_gpu_batch([outcomes[i].result[1:] for i in ready])
+    for i, out in zip(ready, engine):
+        profile = outcomes[i].result[0]
+        if out.error is None:
+            contain(
+                partial(_gpu_run_result, cells[i][0], profile, out.result),
+                out,
             )
-            continue
-        try:
-            run_result = _gpu_run_result(design, profile, out.result)
-        except Exception as exc:
-            outcomes[idx] = GpuCellOutcome(
-                result=None,
-                error=exc,
-                vectorized=out.vectorized,
-                skipped_cycles=out.skipped_cycles,
-                skip_events=out.skip_events,
-            )
-            continue
-        outcomes[idx] = GpuCellOutcome(
-            result=run_result,
-            error=None,
-            vectorized=out.vectorized,
-            skipped_cycles=out.skipped_cycles,
-            skip_events=out.skip_events,
-        )
+        outcomes[i] = out
     return outcomes
 
 

@@ -180,7 +180,7 @@ class _RunCounts:
 
     The fast path reads branch outcomes and steering decisions from the
     trace's frontend columns (:mod:`repro.cpu.soa`) instead of driving
-    the core's predictor or a :class:`DualSpeedSteering`, so their
+    a branch predictor or a :class:`DualSpeedSteering`, so their
     counters live here, written from the columns' prefix sums at the
     warm-up boundary and at the end of the run.
     """
@@ -265,9 +265,6 @@ class OutOfOrderCore:
         self.units = units
         self.name = name
         self.tracer = tracer
-        self.predictor = TournamentPredictor()
-        self.btb = BranchTargetBuffer()
-        self.ras = ReturnAddressStack()
         self.resources = CoreResources(config.resources)
         #: Per-run metrics registry (rebuilt by :meth:`run`).
         self.metrics: "MetricsRegistry | None" = None
@@ -282,6 +279,7 @@ class OutOfOrderCore:
         act: ActivityCounts,
         steering: "DualSpeedSteering | None" = None,
         counts: "_RunCounts | None" = None,
+        predictor: "TournamentPredictor | None" = None,
     ) -> MetricsRegistry:
         """A probe-only registry over every counter this core touches.
 
@@ -289,15 +287,15 @@ class OutOfOrderCore:
         on the per-cycle path; ``snapshot()``/``delta()`` at the warm-up
         boundary replace the old hand-rolled snapshot dict.  The fast
         path passes its :class:`_RunCounts`; without one (the legacy
-        walk) the predictor and ``steering`` counters are read live and
-        no cycles are skipped.  No probe refers back to the core: the
+        walk) the ``predictor`` and ``steering`` counters are read live
+        and no cycles are skipped.  No probe refers back to the core: the
         registry outlives the run, and a reference cycle would leave
         every finished core and its cache hierarchy to the cyclic
         garbage collector.
         """
         if counts is None:
             counts = _RunCounts()
-            bpred, steer = self.predictor, steering
+            bpred, steer = predictor, steering
         else:
             bpred = steer = counts
         reg = MetricsRegistry(self.name, enabled=True)
@@ -956,7 +954,12 @@ class OutOfOrderCore:
         act = ActivityCounts()
         self.skipped_cycles = 0
         self.skip_events = 0
-        metrics = self._build_metrics(act, steering)
+        # Only this walk drives the predictor structures; the fast path
+        # reads their outcomes from the trace's memoised columns.
+        predictor = TournamentPredictor()
+        btb = BranchTargetBuffer()
+        ras = ReturnAddressStack()
+        metrics = self._build_metrics(act, steering, predictor=predictor)
         self.metrics = metrics
         if obs.enabled():
             get_registry().mount(self.name, metrics)
@@ -977,9 +980,6 @@ class OutOfOrderCore:
         resources = self.resources
         units = self.units
         hierarchy = self.hierarchy
-        predictor = self.predictor
-        btb = self.btb
-        ras = self.ras
 
         measure_start_cycle = 0
         snapshot: dict[str, float] | None = None

@@ -62,12 +62,13 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core.configs import cpu_config, gpu_config
-# perfbench's ledger wraps these four engine names where the runner looks.
+# perfbench's ledger wraps these four engine names where the runner
+# looks; ``simulate_cpu`` and ``simulate_gpu`` are imported for it alone.
 from repro.core.simulate import (
-    CpuCellOutcome,
     CpuRunResult,
     GpuRunResult,
     simulate_cpu,
@@ -75,6 +76,7 @@ from repro.core.simulate import (
     simulate_gpu,
     simulate_gpu_batch,
 )
+from repro.gpu.cu_batch import CellOutcome, contain
 from repro.obs.events import get_event_log
 from repro.obs.telemetry import SweepTelemetry
 from repro.resilience import faults
@@ -141,14 +143,15 @@ class SweepSettings:
 
 def simulate_cells(
     run_kind: str, cells: "list[tuple]", instructions: int, warmup: int
-) -> list:
+) -> "list[CellOutcome]":
     """Run one batch of resolved ``(design, workload, extra)`` cells.
 
-    Returns per-cell outcomes (``result`` or ``error``) in cell order; one
-    cell's error never fails its siblings.  CPU and GPU cells go through
-    the batched drivers (GPU cells in SIMT lockstep), DVFS points run in
-    sequence.  In-process sweeps and pool workers both call this, so a
-    cell computes identically wherever it runs.
+    Returns one :class:`~repro.gpu.cu_batch.CellOutcome` per cell
+    (``result`` or ``error``) in cell order; one cell's error never
+    fails its siblings.  CPU and GPU cells go through the batched
+    drivers (GPU cells in SIMT lockstep), DVFS points run in sequence.
+    In-process sweeps and pool workers both call this, so a cell
+    computes identically wherever it runs.
     """
     if run_kind == "gpu":
         return simulate_gpu_batch([(design, w) for design, w, _ in cells])
@@ -162,29 +165,50 @@ def simulate_cells(
         raise ValueError(f"unknown run kind {run_kind!r}")
     from repro.core.dvfs import HetCoreDvfs
 
-    outcomes = []
-    for design, app, (freq_ghz, variation) in cells:
-        try:
-            result = HetCoreDvfs().simulate_at(
-                design,
-                app,
-                freq_ghz,
-                variation=variation,
-                instructions=instructions,
-                warmup=warmup,
-            )
-        except Exception as exc:
-            outcomes.append(CpuCellOutcome(result=None, error=exc))
-        else:
-            outcomes.append(CpuCellOutcome(result=result, error=None))
-    return outcomes
+    def point(design, app, freq_ghz: float, variation: bool):
+        return HetCoreDvfs().simulate_at(
+            design, app, freq_ghz, variation=variation,
+            instructions=instructions, warmup=warmup,
+        )
+
+    return [
+        contain(partial(point, design, app, *extra))
+        for design, app, extra in cells
+    ]
 
 
-def _unwrap(outcome):
-    """A cell outcome's result, or its error raised."""
-    if outcome.error is not None:
-        raise outcome.error
-    return outcome.result
+def _work(run_kind: str, result) -> "tuple[int, int]":
+    """A result's (instructions, engine cycles) for batch accounting."""
+    if run_kind == "gpu":
+        cu = result.gpu.cu_result
+        return cu.instructions, cu.cycles
+    return result.core.committed, result.core.cycles
+
+
+def batch_stats(
+    run_kind: str, outcomes: "list[CellOutcome]", wall_s: float
+) -> "dict[str, float]":
+    """One :func:`simulate_cells` invocation's tally, as
+    :meth:`~repro.obs.telemetry.SweepTelemetry.record_batch` takes it.
+
+    Counts every outcome as a cell and the work of every cell the
+    engine completed, before any fault or self-check; in-process sweeps
+    and pool workers both tally their batches here.
+    """
+    instructions = cycles = 0
+    for out in outcomes:
+        if out.error is None:
+            done, spent = _work(run_kind, out.result)
+            instructions += done
+            cycles += spent
+    return {
+        "cells": len(outcomes),
+        "vectorized_cells": sum(out.vectorized for out in outcomes),
+        "instructions": instructions,
+        "engine_cycles": cycles,
+        "skipped_cycles": sum(out.skipped_cycles for out in outcomes),
+        "wall_s": wall_s,
+    }
 
 
 def faulted_attempt(injector, run_kind: str, key: tuple, fn: Callable[[], object]):
@@ -397,7 +421,7 @@ class SweepRunner:
         """Count one cell served without executing it, with ``result``'s
         instruction count (0 for a repeat of a cell still queued)."""
         instructions = (
-            0 if result is None else self._instructions_of(run_kind, result)
+            0 if result is None else _work(run_kind, result)[0]
         )
         with self._lock:
             self.telemetry.record_run(
@@ -515,7 +539,7 @@ class SweepRunner:
             self.failures.pop((run_kind, *key), None)
             self.telemetry.record_run(
                 run_kind, key[0], key[1], wall_s,
-                self._instructions_of(run_kind, result), cached=False,
+                _work(run_kind, result)[0], cached=False,
             )
             self._durable_put("store", run_kind, key, result)
             self._durable_put("checkpoint", run_kind, key, result)
@@ -549,30 +573,28 @@ class SweepRunner:
 
         timeout_s = self.policy.timeout_s
         start = time.perf_counter()
-        try:
-            outcomes = call_with_timeout(
+        batch = contain(
+            lambda: call_with_timeout(
                 lambda: engine([cell for _, cell in todo]),
                 None if timeout_s is None else timeout_s * len(todo),
             )
-        except Exception as exc:
-            # A timed-out batch costs every one of its cells an attempt.
-            outcomes = [CpuCellOutcome(result=None, error=exc)] * len(todo)
+        )
         batch_wall = time.perf_counter() - start
+        # A timed-out batch costs every one of its cells an attempt.
+        outcomes = batch.result if batch.error is None else [batch] * len(todo)
         per_cell_wall = batch_wall / len(todo)
 
         elog = get_event_log()
-        instructions = cycles = skipped = vectorized = 0
         for (key, cell), out in zip(todo, outcomes):
             config_name, workload, *extra = key
-            vectorized += int(getattr(out, "vectorized", False))
-            skipped += getattr(out, "skipped_cycles", 0)
 
             # Attempt 1 replays the batch's outcome; retries re-run the
             # cell alone.  Defaults bind this cell for abandoned threads.
             def attempt(replays=iter([out]), cell=cell, key=key):
                 replay = next(replays, None)
                 return self._execute(
-                    run_kind, key, lambda: _unwrap(replay or engine([cell])[0])
+                    run_kind, key,
+                    lambda: (replay or engine([cell])[0]).unwrap(),
                 )
 
             def on_retry(number: int, kind: str) -> None:
@@ -605,25 +627,13 @@ class SweepRunner:
             self._commit(
                 run_kind, key, outcome.result, per_cell_wall + outcome.wall_s
             )
-            instructions += self._instructions_of(run_kind, outcome.result)
-            if run_kind == "gpu":
-                cycles += outcome.result.gpu.cu_result.cycles
-            else:
-                cycles += outcome.result.core.cycles
+        stats = batch_stats(run_kind, outcomes, batch_wall)
         with self._lock:
-            self.telemetry.record_batch(
-                run_kind,
-                cells=len(todo),
-                vectorized=vectorized,
-                wall_s=batch_wall,
-                instructions=instructions,
-                cycles=cycles,
-                skipped_cycles=skipped,
-            )
+            self.telemetry.record_batch(run_kind, stats)
         elog.emit(
-            "sweep.batch", run_kind=run_kind, cells=len(todo),
-            vectorized=vectorized, wall_s=batch_wall,
-            instructions=instructions,
+            "sweep.batch", run_kind=run_kind, cells=stats["cells"],
+            vectorized=stats["vectorized_cells"], wall_s=batch_wall,
+            instructions=stats["instructions"],
         )
 
     def _one(
@@ -704,29 +714,14 @@ class SweepRunner:
             "dvfs": self._dvfs_cache,
         }[run_kind]
 
-    @staticmethod
-    def _instructions_of(run_kind: str, result) -> int:
-        if run_kind == "gpu":
-            return result.gpu.cu_result.instructions
-        return result.core.committed
-
     def _pool_event(self, event: str, info: dict) -> None:
         """Map pool lifecycle events onto the telemetry counters."""
         if event == "utilization":
             self.telemetry.record_pool_utilization(info["value"])
             return
         if event == "batch_completed":
-            stats = info.get("stats") or {}
             with self._lock:
-                self.telemetry.record_batch(
-                    info["run_kind"],
-                    cells=stats.get("cells", info.get("cells", 0)),
-                    vectorized=stats.get("vectorized", 0),
-                    wall_s=stats.get("wall_s", 0.0),
-                    instructions=stats.get("instructions", 0),
-                    cycles=stats.get("cycles", 0),
-                    skipped_cycles=stats.get("skipped_cycles", 0),
-                )
+                self.telemetry.record_batch(info["run_kind"], info["stats"])
             return
         self.telemetry.record_pool(event)
         if event == "requeued":

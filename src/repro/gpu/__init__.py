@@ -12,6 +12,8 @@ hiding across wavefronts -- the mechanism that makes the HetCore GPU viable
 
 * :mod:`repro.gpu.regfile` -- vector RF and the 6-entry register-file cache.
 * :mod:`repro.gpu.cu` -- the compute-unit cycle model.
+* :mod:`repro.gpu.cu_batch` -- many cells in lockstep, and the
+  ``CellOutcome`` every sweep cell returns up to the runner.
 * :mod:`repro.gpu.gpu` -- whole-GPU runs and CU-count scaling.
 """
 

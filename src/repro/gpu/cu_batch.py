@@ -58,6 +58,7 @@ performance decisions; results are identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -170,17 +171,23 @@ def _fma_count(trace: KernelTrace) -> int:
 
 
 @dataclass
-class CUBatchOutcome:
-    """One cell's outcome from a batched run.
+class CellOutcome:
+    """One sweep cell's outcome, from the engine up to the runner.
 
-    Exactly one of ``result``/``error`` is set.  ``skipped_cycles`` and
-    ``skip_events`` mirror the :class:`~repro.gpu.cu.ComputeUnit`
-    attributes of the same names; ``metrics`` is the per-run registry
-    the scalar engine would have built (None for failed cells).
+    Exactly one of ``result``/``error`` is set.  Each layer replaces
+    ``result`` in place as it builds on it -- a
+    :class:`~repro.gpu.cu.CUResult` here, the whole-GPU
+    :class:`~repro.gpu.gpu.GpuResult` after CU-count scaling, the
+    :class:`~repro.core.simulate.GpuRunResult` (or ``CpuRunResult``)
+    after the energy model -- so the engine telemetry below rides along
+    unchanged.  ``skipped_cycles`` and ``skip_events`` mirror the
+    :class:`~repro.gpu.cu.ComputeUnit` attributes of the same names;
+    ``metrics`` is the per-run registry the scalar engine would have
+    built (None for failed cells).
     """
 
-    result: "CUResult | None"
-    error: "Exception | None"
+    result: object = None
+    error: "Exception | None" = None
     skipped_cycles: int = 0
     skip_events: int = 0
     metrics: "MetricsRegistry | None" = None
@@ -188,21 +195,29 @@ class CUBatchOutcome:
     #: only -- results are identical either way).
     vectorized: bool = False
 
+    def unwrap(self):
+        """The cell's result, or its error raised."""
+        if self.error is not None:
+            raise self.error
+        return self.result
 
-def _scalar_outcome(config: CUConfig, trace: KernelTrace) -> CUBatchOutcome:
-    """Run one cell through the scalar engine, capturing failure."""
-    cu = ComputeUnit(config)
+
+def contain(
+    fn: "Callable[[], object]", outcome: "CellOutcome | None" = None
+) -> CellOutcome:
+    """Run ``fn`` and return ``outcome`` (a fresh one by default) with
+    ``result`` set to what it returned, or ``error`` to what it raised.
+
+    The one place a cell's exception becomes an outcome: a failing cell
+    never takes its batch siblings down with it.  Passing the outcome a
+    lower layer produced keeps that layer's telemetry.
+    """
+    out = CellOutcome() if outcome is None else outcome
     try:
-        result = cu.run(trace)
-    except Exception as exc:  # progress guard, bad geometry, ...
-        return CUBatchOutcome(result=None, error=exc)
-    return CUBatchOutcome(
-        result=result,
-        error=None,
-        skipped_cycles=cu.skipped_cycles,
-        skip_events=cu.skip_events,
-        metrics=cu.metrics,
-    )
+        out.result = fn()
+    except Exception as exc:  # progress guard, bad geometry, energy model...
+        out.result, out.error = None, exc
+    return out
 
 
 def _vector_eligible(config: CUConfig, trace: KernelTrace) -> bool:
@@ -216,15 +231,19 @@ def _vector_eligible(config: CUConfig, trace: KernelTrace) -> bool:
 
 def run_cu_batch(
     cells: "list[tuple[CUConfig, KernelTrace]]",
-) -> "list[CUBatchOutcome]":
-    """Run many (config, trace) cells; outcomes in input order.
+) -> "list[CellOutcome]":
+    """Run many (config, trace) cells; one :class:`CellOutcome` each,
+    in input order, whose ``result`` is the cell's :class:`CUResult`.
 
     Byte-identical to running :meth:`ComputeUnit.run` per cell.  Cells
     the vector engine cannot model (or entire batches too small to win)
-    run through the scalar engine; a failing cell yields an outcome with
-    ``error`` set while the rest of the batch completes.
+    run through the scalar engine.  A failing cell yields an outcome
+    with ``error`` set (through :func:`contain`) while the rest of the
+    batch completes.  ``vectorized`` marks every cell the lockstep
+    engine ran; the skip counters and ``metrics`` are set for every cell
+    that completed.
     """
-    outcomes: "list[CUBatchOutcome | None]" = [None] * len(cells)
+    outcomes: "list[CellOutcome | None]" = [None] * len(cells)
     vector_idx = [
         i for i, (cfg, tr) in enumerate(cells) if _vector_eligible(cfg, tr)
     ]
@@ -237,7 +256,12 @@ def run_cu_batch(
             outcomes[i] = outcome
     for i, (cfg, tr) in enumerate(cells):
         if outcomes[i] is None:
-            outcomes[i] = _scalar_outcome(cfg, tr)
+            cu = ComputeUnit(cfg)
+            out = outcomes[i] = contain(lambda: cu.run(tr))
+            if out.error is None:
+                out.skipped_cycles = cu.skipped_cycles
+                out.skip_events = cu.skip_events
+                out.metrics = cu.metrics
     # Scalar runs mount their per-run registry as they go; vectorized
     # cells mount here, in cell order, so the final mounted state
     # matches a serial sweep (last cell wins in both).
@@ -343,7 +367,7 @@ def _finish_scalar(
 
 def _run_vectorized(
     cells: "list[tuple[CUConfig, KernelTrace]]",
-) -> "list[CUBatchOutcome]":
+) -> "list[CellOutcome]":
     """The lockstep engine proper; every cell here is vector-eligible."""
     C = len(cells)
     configs = [cfg for cfg, _tr in cells]
@@ -582,10 +606,12 @@ def _run_vectorized(
             live &= remaining > 0
             n_live = int(live.sum())
 
-    outcomes: "list[CUBatchOutcome]" = []
+    outcomes: "list[CellOutcome]" = []
     for c in range(C):
         cfg = configs[c]
         trace = traces[c]
+        out = CellOutcome(vectorized=True)
+        outcomes.append(out)
         sk = int(skipped[c])
         se = int(skip_events[c])
         if c in tail and not failed[c]:
@@ -594,8 +620,8 @@ def _run_vectorized(
             lat_rows = [
                 op_lat[c, wf, : int(n_ins[c])].tolist() for wf in range(w)
             ]
-            try:
-                end_cycle, end_done, sk, se = _finish_scalar(
+            contain(
+                lambda: _finish_scalar(
                     cfg,
                     trace,
                     lat_rows,
@@ -609,23 +635,15 @@ def _run_vectorized(
                     t_rem,
                     sk,
                     se,
-                )
-            except RuntimeError as exc:
-                outcomes.append(
-                    CUBatchOutcome(result=None, error=exc, vectorized=True)
-                )
+                ),
+                out,
+            )
+            if out.error is not None:
                 continue
+            end_cycle, end_done, sk, se = out.result
             total = max(end_cycle, end_done)
         elif failed[c]:
-            outcomes.append(
-                CUBatchOutcome(
-                    result=None,
-                    error=RuntimeError(
-                        "CU simulation failed to make progress"
-                    ),
-                    vectorized=True,
-                )
-            )
+            out.error = RuntimeError("CU simulation failed to make progress")
             continue
         else:
             total = int(max(cycle[c], done[c].max()))
@@ -661,14 +679,6 @@ def _run_vectorized(
         reg.gauge("wavefronts").set(int(n_wf[c]))
         reg.gauge("engine.skipped_cycles").set(sk)
         reg.gauge("engine.skip_events").set(se)
-        outcomes.append(
-            CUBatchOutcome(
-                result=result,
-                error=None,
-                skipped_cycles=sk,
-                skip_events=se,
-                metrics=reg,
-                vectorized=True,
-            )
-        )
+        out.result = result
+        out.skipped_cycles, out.skip_events, out.metrics = sk, se, reg
     return outcomes

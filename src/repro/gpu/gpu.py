@@ -14,9 +14,10 @@ budget) gains 30% rather than the ideal ~42% for exactly this reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.gpu.cu import ComputeUnit, CUConfig, CUResult
+from repro.gpu.cu_batch import CellOutcome, run_cu_batch
 from repro.workloads.gpu_generator import KernelTrace
 
 #: Per-sharer memory-latency uplift coefficient for CU scaling (relative to
@@ -62,85 +63,51 @@ def memory_contention_scale(n_cus: int, mem_intensity: float) -> float:
     return 1.0 + GPU_CONTENTION_ALPHA * extra * mem_intensity
 
 
-@dataclass
-class GpuBatchOutcome:
-    """One cell's outcome from :func:`run_gpu_batch`.
+def _contended_cu(config: GpuConfig, trace: KernelTrace) -> CUConfig:
+    """The per-CU config a cell runs on: ``config.cu`` with its memory
+    latency raised by the contention of ``config.n_cus`` sharers."""
+    scale = memory_contention_scale(config.n_cus, trace.profile.mem_intensity)
+    return replace(
+        config.cu, mem_latency_scale=config.cu.mem_latency_scale * scale
+    )
 
-    Exactly one of ``result``/``error`` is set; a failing cell never
-    takes its batch siblings down with it.
-    """
 
-    result: "GpuResult | None"
-    error: "Exception | None"
-    #: Whether the lockstep engine produced this cell (telemetry only).
-    vectorized: bool = False
-    #: Idle cycles the event-driven skip jumped over (telemetry only).
-    skipped_cycles: int = 0
-    skip_events: int = 0
+def _scaled(
+    config: GpuConfig, trace: KernelTrace, cu_result: CUResult
+) -> GpuResult:
+    """The whole-GPU result at fixed total work from one CU's run: the
+    serial fraction runs at one CU's pace, the rest splits ``n_cus``
+    ways relative to the 8-CU reference."""
+    serial = trace.profile.serial_fraction
+    parallel_cycles = cu_result.cycles * (REFERENCE_CUS / config.n_cus)
+    return GpuResult(
+        n_cus=config.n_cus,
+        cu_result=cu_result,
+        effective_cycles=(
+            cu_result.cycles * serial + parallel_cycles * (1.0 - serial)
+        ),
+        freq_ghz=config.cu.freq_ghz,
+    )
 
 
 def run_gpu_batch(
     cells: "list[tuple[GpuConfig, KernelTrace]]",
-) -> "list[GpuBatchOutcome]":
+) -> "list[CellOutcome]":
     """Run many GPU cells through one batched engine invocation.
 
-    Per-cell results are byte-identical to :func:`run_gpu`: the same
-    contention-scaled per-CU config is built per cell, the batched
-    engine is exact by construction, and the CU-count scaling applied
-    here is plain per-cell arithmetic.
+    Returns :func:`~repro.gpu.cu_batch.run_cu_batch`'s outcomes, in cell
+    order, with each completed cell's ``result`` swapped from the CU's
+    :class:`CUResult` to its :class:`GpuResult`; failed cells keep their
+    ``error``.  Results are byte-identical to :func:`run_gpu`: both
+    build the per-CU config with :func:`_contended_cu` and scale with
+    :func:`_scaled`, and the batched engine is exact by construction.
     """
-    from repro.gpu.cu_batch import run_cu_batch
-
-    cu_cells: "list[tuple[CUConfig, KernelTrace]]" = []
-    for config, trace in cells:
-        profile = trace.profile
-        scale = memory_contention_scale(config.n_cus, profile.mem_intensity)
-        cu_cells.append(
-            (
-                CUConfig(
-                    freq_ghz=config.cu.freq_ghz,
-                    fma_depth=config.cu.fma_depth,
-                    rf_cycles=config.cu.rf_cycles,
-                    rf_cache_enabled=config.cu.rf_cache_enabled,
-                    rf_cache_entries=config.cu.rf_cache_entries,
-                    mem_latency_scale=config.cu.mem_latency_scale * scale,
-                ),
-                trace,
-            )
-        )
-    outcomes: "list[GpuBatchOutcome]" = []
-    for (config, trace), cu_out in zip(cells, run_cu_batch(cu_cells)):
-        if cu_out.error is not None:
-            outcomes.append(
-                GpuBatchOutcome(
-                    result=None,
-                    error=cu_out.error,
-                    vectorized=cu_out.vectorized,
-                    skipped_cycles=cu_out.skipped_cycles,
-                    skip_events=cu_out.skip_events,
-                )
-            )
-            continue
-        cu_result = cu_out.result
-        serial = trace.profile.serial_fraction
-        parallel_cycles = cu_result.cycles * (REFERENCE_CUS / config.n_cus)
-        effective = (
-            cu_result.cycles * serial + parallel_cycles * (1.0 - serial)
-        )
-        outcomes.append(
-            GpuBatchOutcome(
-                result=GpuResult(
-                    n_cus=config.n_cus,
-                    cu_result=cu_result,
-                    effective_cycles=effective,
-                    freq_ghz=config.cu.freq_ghz,
-                ),
-                error=None,
-                vectorized=cu_out.vectorized,
-                skipped_cycles=cu_out.skipped_cycles,
-                skip_events=cu_out.skip_events,
-            )
-        )
+    outcomes = run_cu_batch(
+        [(_contended_cu(config, trace), trace) for config, trace in cells]
+    )
+    for (config, trace), out in zip(cells, outcomes):
+        if out.error is None:
+            out.result = _scaled(config, trace, out.result)
     return outcomes
 
 
@@ -151,23 +118,7 @@ def run_gpu(config: GpuConfig, trace: KernelTrace, tracer=None) -> GpuResult:
     8-CU machine; machines with more CUs split the same total work more
     ways but see higher memory contention.
     """
-    profile = trace.profile
-    scale = memory_contention_scale(config.n_cus, profile.mem_intensity)
-    cu_cfg = CUConfig(
-        freq_ghz=config.cu.freq_ghz,
-        fma_depth=config.cu.fma_depth,
-        rf_cycles=config.cu.rf_cycles,
-        rf_cache_enabled=config.cu.rf_cache_enabled,
-        rf_cache_entries=config.cu.rf_cache_entries,
-        mem_latency_scale=config.cu.mem_latency_scale * scale,
+    cu_result = ComputeUnit(_contended_cu(config, trace), tracer=tracer).run(
+        trace
     )
-    cu_result = ComputeUnit(cu_cfg, tracer=tracer).run(trace)
-    serial = profile.serial_fraction
-    parallel_cycles = cu_result.cycles * (REFERENCE_CUS / config.n_cus)
-    effective = cu_result.cycles * serial + parallel_cycles * (1.0 - serial)
-    return GpuResult(
-        n_cus=config.n_cus,
-        cu_result=cu_result,
-        effective_cycles=effective,
-        freq_ghz=config.cu.freq_ghz,
-    )
+    return _scaled(config, trace, cu_result)

@@ -124,18 +124,6 @@ class SweepTelemetry:
                 lambda s=stat: diskio_stats()[s],
             )
 
-    def trace_cache_counts(self) -> "dict[str, int]":
-        """Point-in-time stats of the shared workload trace cache."""
-        from repro.workloads.trace_cache import shared_cache
-
-        return shared_cache().stats()
-
-    def shm_transport_counts(self) -> "dict[str, int]":
-        """Point-in-time counters of the shm trace transport."""
-        from repro.resilience.shm import transport_stats
-
-        return transport_stats()
-
     # -- hooks ---------------------------------------------------------
     def on_progress(self, callback: "Callable[[dict], None]") -> None:
         """Register a callback fired (with an event dict) after each run."""
@@ -190,51 +178,44 @@ class SweepTelemetry:
                 self.callback_errors += 1
                 self._scope.counter("progress_callback_errors").inc()
 
-    def record_batch(
-        self,
-        kind: str,
-        *,
-        cells: int,
-        vectorized: int,
-        wall_s: float,
-        instructions: int,
-        cycles: int = 0,
-        skipped_cycles: int = 0,
-    ) -> None:
+    def record_batch(self, kind: str, stats: "dict[str, float]") -> None:
         """Account one batched-engine invocation.
 
         A batch is one :func:`~repro.experiments.runner.simulate_cells`
         call covering one or more sweep cells -- either one in-process
-        run or one pool worker's cell batch.  Unlike lookups it fires
-        no progress event, so a one-cell run notifies exactly once.
-        ``vectorized`` counts the cells the lockstep engine
-        produced (batch occupancy = vectorized / cells);
-        ``skipped_cycles`` are the idle cycles the engines' event-driven
-        skip jumped over (skip rate = skipped / (cycles + skipped)).
-        ``repro top`` derives its engine row from these counters.
+        run or one pool worker's cell batch -- and ``stats`` is
+        :func:`~repro.experiments.runner.batch_stats`'s tally of it.
+        Unlike lookups it fires no progress event, so a one-cell run
+        notifies exactly once.  ``vectorized_cells`` counts the cells
+        the lockstep engine produced (batch occupancy = vectorized /
+        cells); ``skipped_cycles`` are the idle cycles the engines'
+        event-driven skip jumped over (skip rate = skipped /
+        (engine_cycles + skipped)).  ``repro top`` derives its engine
+        row from these counters.
         """
         if kind not in self._hits:
             raise ValueError(f"unknown run kind {kind!r} (expected {KINDS})")
         b = self._batch
         for stat, value in (
             ("batches", 1),
-            ("cells", cells),
-            ("vectorized_cells", vectorized),
-            ("instructions", instructions),
-            ("engine_cycles", cycles),
-            ("skipped_cycles", skipped_cycles),
+            ("cells", stats["cells"]),
+            ("vectorized_cells", stats["vectorized_cells"]),
+            ("instructions", stats["instructions"]),
+            ("engine_cycles", stats["engine_cycles"]),
+            ("skipped_cycles", stats["skipped_cycles"]),
         ):
             b[stat] = b.get(stat, 0) + value
             self._scope.counter(f"batch.{stat}").inc(value)
+        cells, wall_s = stats["cells"], stats["wall_s"]
         b["wall_s"] = b.get("wall_s", 0.0) + wall_s
         scope = self._scope
         scope.gauge("batch.last_wall_s").set(wall_s)
         scope.gauge("batch.last_cells").set(cells)
         scope.gauge("batch.last_occupancy").set(
-            vectorized / cells if cells else 0.0
+            stats["vectorized_cells"] / cells if cells else 0.0
         )
         scope.gauge("batch.last_ips").set(
-            instructions / wall_s if wall_s > 0 else 0.0
+            stats["instructions"] / wall_s if wall_s > 0 else 0.0
         )
 
     def batch_counts(self) -> "dict[str, float]":

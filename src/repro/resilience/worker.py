@@ -20,9 +20,9 @@ killed worker can never poison a lock shared with its siblings):
   passed the end-of-run self-checks (``result`` is the pickled run
   result), or ``("fail", kind, message, traceback, wall_s)`` for one
   that raised (``kind`` is ``corrupt`` for self-check rejections, else
-  ``crash``); ``stats`` holds the engine aggregates (cells, vectorized,
-  instructions, cycles, skipped_cycles, wall_s) the coordinator's batch
-  telemetry consumes;
+  ``crash``); ``stats`` is the batch's
+  :func:`~repro.experiments.runner.batch_stats` tally, which the
+  coordinator's batch telemetry records as it is;
 * ``("fail", kind, message, traceback, wall_s, obs)`` -- the attempt
   raised outside the per-cell loop; it costs every cell of the batch
   one attempt.  Timeouts never originate here: the supervisor kills
@@ -56,6 +56,7 @@ import contextlib
 import threading
 import time
 import traceback as tb_module
+from functools import partial
 
 from repro.resilience import faults
 from repro.resilience.errors import CorruptResult
@@ -65,60 +66,31 @@ from repro.resilience.selfcheck import validate_result
 def execute_batch(cells: "list[dict]", instructions: int, warmup: int):
     """Run one worker attempt's cells through the runner's batch driver.
 
-    Returns per-cell outcome objects (``result``/``error``) in cell
-    order, computed by :func:`repro.experiments.runner.simulate_cells`
+    Returns one :class:`~repro.gpu.cu_batch.CellOutcome` per cell, in
+    cell order, computed by :func:`repro.experiments.runner.simulate_cells`
     -- the same call an in-process sweep makes, so a cell computed in a
     worker process is bit-identical to one computed in-process.  A cell
-    whose configuration fails to resolve gets its error recorded without
-    taking the batch down -- names are validated coordinator-side, so
-    this is a belt-and-braces path.
+    whose configuration fails to resolve keeps the outcome carrying that
+    error without taking the batch down -- names are validated
+    coordinator-side, so this is a belt-and-braces path.
     """
     from repro.core.configs import cpu_config, gpu_config
-    from repro.core.simulate import CpuCellOutcome
     from repro.experiments.runner import simulate_cells
+    from repro.gpu.cu_batch import contain
 
     kind = cells[0]["run_kind"]
     lookup = gpu_config if kind == "gpu" else cpu_config
-    outcomes: "list" = [None] * len(cells)
-    batch, slots = [], []
-    for i, cell in enumerate(cells):
-        try:
-            design = lookup(cell["config"])
-        except Exception as exc:
-            outcomes[i] = CpuCellOutcome(result=None, error=exc)
-            continue
-        batch.append((design, cell["workload"], tuple(cell["extra"])))
-        slots.append(i)
-    if batch:
-        ready = simulate_cells(kind, batch, instructions, warmup)
-        for i, out in zip(slots, ready):
+    outcomes = [contain(partial(lookup, cell["config"])) for cell in cells]
+    ready = [i for i, out in enumerate(outcomes) if out.error is None]
+    if ready:
+        batch = [
+            (outcomes[i].result, cells[i]["workload"], tuple(cells[i]["extra"]))
+            for i in ready
+        ]
+        done = simulate_cells(kind, batch, instructions, warmup)
+        for i, out in zip(ready, done):
             outcomes[i] = out
     return outcomes
-
-
-def _batch_stats(kind: str, outcomes, wall_s: float) -> dict:
-    """Aggregate engine stats for one batch (``pool.batch_completed``)."""
-    instructions = cycles = skipped = vectorized = 0
-    for out in outcomes:
-        vectorized += int(getattr(out, "vectorized", False))
-        skipped += int(getattr(out, "skipped_cycles", 0))
-        result = out.result
-        if result is None:
-            continue
-        if kind == "gpu":
-            instructions += result.gpu.cu_result.instructions
-            cycles += result.gpu.cu_result.cycles
-        else:
-            instructions += result.core.committed
-            cycles += result.core.cycles
-    return {
-        "cells": len(outcomes),
-        "vectorized": vectorized,
-        "instructions": instructions,
-        "cycles": cycles,
-        "skipped_cycles": skipped,
-        "wall_s": wall_s,
-    }
 
 
 def _start_heartbeat(conn, lock: threading.Lock, interval_s: float):
@@ -162,7 +134,7 @@ def worker_main(conn, spec: dict) -> None:
     # Reconstruct fault state from the spec, never from inherited process
     # state; each cell below draws for exactly the attempt the supervisor
     # assigned.
-    from repro.experiments.runner import faulted_attempt
+    from repro.experiments.runner import batch_stats, faulted_attempt
 
     faults.reset()
     plan = spec.get("fault_plan")
@@ -245,18 +217,13 @@ def worker_main(conn, spec: dict) -> None:
                         cell["run_kind"], cell_key, attempt=spec["attempt"]
                     )
 
-                def replay(out=out):
-                    if out.error is not None:
-                        raise out.error
-                    return out.result
-
                 try:
                     if injector is not None:
                         result = faulted_attempt(
-                            injector, cell["run_kind"], cell_key, replay
+                            injector, cell["run_kind"], cell_key, out.unwrap
                         )
                     else:
-                        result = replay()
+                        result = out.unwrap()
                     validate_result(cell["run_kind"], result)
                 except Exception as exc:
                     kind = (
@@ -277,7 +244,7 @@ def worker_main(conn, spec: dict) -> None:
             "batch",
             entries,
             time.perf_counter() - start,
-            _batch_stats(spec["run_kind"], outcomes, engine_wall),
+            batch_stats(spec["run_kind"], outcomes, engine_wall),
             _obs_payload(wlog, base_state),
         )
     except BaseException as exc:

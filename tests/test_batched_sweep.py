@@ -188,9 +188,86 @@ def test_pool_cell_batches_match_single_cell_outcomes():
     assert sum(info["cells"] for info in batches) == len(tasks)
 
 
+def test_serial_and_pool_sweeps_tally_equal_batch_counts():
+    """The in-process runner and the pool workers tally their engine
+    batches with one function, so without faults a serial and a
+    2-worker process sweep record the same batch totals."""
+    settings = SweepSettings(instructions=2_000, apps=["lu", "fft"])
+    totals = []
+    for workers, isolation in ((1, "thread"), (2, "process")):
+        runner = SweepRunner(settings)
+        results = runner.cpu_sweep(
+            ["BaseCMOS", "AdvHet"], workers=workers, isolation=isolation
+        )
+        assert all(
+            run is not None for row in results.values() for run in row.values()
+        )
+        counts = runner.telemetry.batch_counts()
+        totals.append({
+            stat: counts[stat]
+            for stat in ("cells", "instructions", "engine_cycles", "skipped_cycles")
+        })
+    serial, pooled = totals
+    assert serial["cells"] == 4
+    assert serial["instructions"] > 0 and serial["engine_cycles"] > 0
+    assert pooled == serial
+
+
 # ---------------------------------------------------------------------
 # fault containment: a poisoned cell is a gap, not a dead batch
 # ---------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "run_kind, design, good, extra",
+    [
+        ("cpu", cpu_config("AdvHet"), "lu", ()),
+        ("gpu", gpu_config("AdvHet"), "DCT", ()),
+        ("dvfs", cpu_config("AdvHet"), "lu", (0.55, True)),
+    ],
+)
+def test_raising_cell_is_an_error_outcome_beside_completed_siblings(
+    run_kind, design, good, extra
+):
+    """A cell that raises inside a batch comes back as an outcome with
+    ``error`` set and no result; its siblings complete, equal to runs
+    of their own."""
+    from repro.experiments.runner import simulate_cells
+
+    cells = [(design, good, extra), (design, "no-such-workload", extra)] * 3
+    outcomes = simulate_cells(run_kind, cells, 1_000, 250)
+    assert len(outcomes) == len(cells)
+    alone = simulate_cells(run_kind, cells[:1], 1_000, 250)[0]
+    assert alone.error is None
+    for (_, workload, _), out in zip(cells, outcomes):
+        if workload == good:
+            assert out.error is None
+            assert _canon(out.result) == _canon(alone.result)
+        else:
+            assert out.result is None and isinstance(out.error, KeyError)
+
+
+def test_gpu_energy_error_keeps_the_engine_telemetry(monkeypatch):
+    """A GPU cell failing after the engine (in the energy model) keeps
+    the lockstep engine's telemetry on its outcome."""
+    import repro.core.simulate as simulate_mod
+
+    real = simulate_mod._gpu_run_result
+
+    def energy(design, profile, result):
+        if profile.name == "Histogram":
+            raise ValueError("energy model failed")
+        return real(design, profile, result)
+
+    monkeypatch.setattr(simulate_mod, "_gpu_run_result", energy)
+    kernels = ["DCT", "Histogram", "DCT", "Histogram"]
+    outcomes = simulate_gpu_batch([(gpu_config("AdvHet"), k) for k in kernels])
+    for kernel, out in zip(kernels, outcomes):
+        assert out.vectorized and out.skipped_cycles > 0
+        if kernel == "Histogram":
+            assert out.result is None and isinstance(out.error, ValueError)
+        else:
+            assert out.error is None and out.result.kernel == "DCT"
+
 
 def test_mid_batch_fault_degrades_to_single_cell_gap():
     """One poisoned cell inside the serial batch becomes a RunFailure gap;

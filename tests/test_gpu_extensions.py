@@ -10,6 +10,7 @@ from repro.gpu import (
     profile_hot_registers,
     reschedule_kernel,
 )
+from repro.gpu.gpu import GpuConfig, run_gpu, run_gpu_batch
 from repro.gpu.partitioned_rf import PartitionedRegisterFile
 from repro.workloads import generate_kernel, gpu_kernel
 
@@ -109,6 +110,19 @@ class TestPartitionedRF:
             )
         ).run(kernel)
         assert part.cycles < plain.cycles
+
+    def test_whole_gpu_runs_keep_the_partition(self, kernel):
+        """``run_gpu`` and ``run_gpu_batch`` run the CU config they are
+        given, partition included (at 8 CUs nothing is rescaled)."""
+        cfg = CUConfig(
+            fma_depth=6, rf_cycles=2,
+            partitioned_fast_regs=profile_hot_registers(kernel, 8),
+        )
+        alone = ComputeUnit(cfg).run(kernel)
+        whole = GpuConfig(cu=cfg)
+        assert run_gpu(whole, kernel).cu_result == alone
+        [out] = run_gpu_batch([(whole, kernel)])
+        assert out.result.cu_result == alone
 
     def test_mutually_exclusive_with_rf_cache(self):
         with pytest.raises(ValueError):
