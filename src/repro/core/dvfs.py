@@ -75,6 +75,39 @@ class HetCoreDvfs:
             tfet_leakage=g.tfet_leakage_scale(NOMINAL_V_TFET),
         )
 
+    def price(
+        self,
+        result: CpuRunResult,
+        design: CpuDesign,
+        freq_ghz: float,
+        variation: bool = False,
+    ) -> CpuRunResult:
+        """``result`` (a run of ``design`` at ``freq_ghz``) re-priced at
+        the point's voltages.
+
+        The voltage scales (DVFS, or the guardbands when ``variation``)
+        replace the design's own; the activity and runtime are the
+        run's.  Returns a new result and leaves ``result`` untouched, so
+        a cached CPU cell can be priced without changing it.
+        """
+        from repro.power.model import cpu_energy
+
+        v = self.variation_knobs() if variation else self.knobs_for(freq_ghz)
+        knobs = design.energy_knobs()
+        knobs.work_scale = result.multicore.total_work / result.core.committed
+        knobs.cmos_energy = v.cmos_energy
+        knobs.tfet_energy = v.tfet_energy
+        knobs.cmos_leakage = v.cmos_leakage
+        knobs.tfet_leakage = v.tfet_leakage
+        energy = cpu_energy(
+            result.core.activity,
+            result.time_s,
+            device_map=design.device_map(),
+            asym_dl1=design.asym_dl1,
+            knobs=knobs,
+        )
+        return replace(result, energy=energy)
+
     def simulate_at(
         self,
         design: CpuDesign,
@@ -87,34 +120,17 @@ class HetCoreDvfs:
         """Run a design at a DVFS point (optionally with guardbands).
 
         The performance simulation reruns at the new frequency (the DRAM
-        round trip changes in cycles); the energy accounting applies the
+        round trip changes in cycles); :meth:`price` then applies the
         voltage scales on top of the design's own knobs.
         """
         from repro.core.simulate import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
-        from repro.power.model import cpu_energy
 
+        if instructions is None:
+            instructions = DEFAULT_INSTRUCTIONS
+        if warmup is None:
+            warmup = DEFAULT_WARMUP
         scaled = replace(design, freq_ghz=freq_ghz)
         result = simulate_cpu(
-            scaled,
-            app,
-            instructions=instructions or DEFAULT_INSTRUCTIONS,
-            warmup=warmup or DEFAULT_WARMUP,
+            scaled, app, instructions=instructions, warmup=warmup
         )
-        if variation:
-            v = self.variation_knobs()
-        else:
-            v = self.knobs_for(freq_ghz)
-        knobs = scaled.energy_knobs()
-        knobs.work_scale = result.multicore.total_work / result.core.committed
-        knobs.cmos_energy = v.cmos_energy
-        knobs.tfet_energy = v.tfet_energy
-        knobs.cmos_leakage = v.cmos_leakage
-        knobs.tfet_leakage = v.tfet_leakage
-        result.energy = cpu_energy(
-            result.core.activity,
-            result.time_s,
-            device_map=scaled.device_map(),
-            asym_dl1=scaled.asym_dl1,
-            knobs=knobs,
-        )
-        return result
+        return self.price(result, scaled, freq_ghz, variation)

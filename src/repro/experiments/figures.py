@@ -26,7 +26,9 @@ from repro.core.configs import (
     machine_params,
     CPU_CONFIGS,
     GPU_CONFIGS,
+    cpu_config,
 )
+from repro.core.dvfs import HetCoreDvfs
 from repro.devices.activity import alu_power_curves
 from repro.devices.iv import figure1_series
 from repro.devices.technology import table1_rows
@@ -382,7 +384,14 @@ def figure13(runner: SweepRunner | None = None) -> FigureResult:
 def figure14(
     runner: SweepRunner | None = None, apps: list[str] | None = None
 ) -> FigureResult:
-    """Figure 14: DVFS (1.5/2/2.5 GHz) and process-variation energy."""
+    """Figure 14: DVFS (1.5/2/2.5 GHz) and process-variation energy.
+
+    A point at the design's own frequency runs exactly the design's CPU
+    cell -- DVFS and guardbands change only voltages there -- so it is
+    that cell (shared with Figures 7-9) re-priced at the point's
+    voltages, not a second engine run.  Other frequencies change the
+    DRAM round trip in cycles and run as DVFS cells.
+    """
     runner = runner or shared_runner()
     apps = apps or runner.settings.apps
     points = [
@@ -391,24 +400,28 @@ def figure14(
         ("SlowFreq-1.5GHz", 1.5, False),
         ("ProcessVar", 2.0, True),
     ]
+    dvfs = HetCoreDvfs()
+
+    def energy(config_name: str, app: str, freq: float, variation: bool) -> float:
+        design = cpu_config(config_name)
+        if freq == design.freq_ghz:
+            run = runner.cpu_cell(config_name, app)
+            if run is not None:
+                run = dvfs.price(run, design, freq, variation)
+        else:
+            run = runner.dvfs_cell(config_name, app, freq, variation)
+        return run.energy_j if run is not None else float("nan")
+
+    base_energy = {app: energy("BaseCMOS", app, 2.0, False) for app in apps}
     cells: dict[str, dict[str, float]] = {}
-    base_runs = {app: runner.dvfs_cell("BaseCMOS", app, 2.0, False) for app in apps}
-    base_energy = {
-        app: run.energy_j if run is not None else float("nan")
-        for app, run in base_runs.items()
-    }
     for label, freq, variation in points:
-        cells[label] = {}
-        for config_name in ("BaseCMOS", "AdvHet"):
-            vals = []
-            for app in apps:
-                run = runner.dvfs_cell(config_name, app, freq, variation)
-                vals.append(
-                    run.energy_j / base_energy[app]
-                    if run is not None
-                    else float("nan")
-                )
-            cells[label][config_name] = _finite_mean(vals)
+        cells[label] = {
+            config_name: _finite_mean([
+                energy(config_name, app, freq, variation) / base_energy[app]
+                for app in apps
+            ])
+            for config_name in ("BaseCMOS", "AdvHet")
+        }
     means = {
         f"{label}-savings": 1.0 - cells[label]["AdvHet"] / cells[label]["BaseCMOS"]
         for label, _, _ in points
